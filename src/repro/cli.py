@@ -224,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine", choices=engine_choices(), default="flat",
-        help="served engine: nodes/flat serve the DHA-Index (flat "
-             "batches through the vectorized kernel); other registry "
-             "engines serve their own index (default flat)",
+        help="served engine: nodes/flat/native serve a mutable "
+             "DHA-Index, read through its compiled kernel; other "
+             "registry engines serve their own index (default flat)",
     )
     serve.add_argument(
         "--data-dir", default=None,
@@ -707,18 +707,12 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     naive_seconds = time.perf_counter() - started
     naive_qps = len(queries) / naive_seconds if naive_seconds else 0.0
 
-    spec = get_engine(args.engine)
-    canonical = spec.name
+    canonical = get_engine(args.engine).name
     service_kwargs = dict(
         workers=args.workers,
         max_batch=args.batch,
         queue_limit=len(queries) + 2 * args.updates + 8,
         cache_capacity=args.cache,
-        batch_kernel=canonical == "flat" or spec.batched,
-        # The read-only compiled planes serve through a mutable
-        # DHA-Index: batched misses route through the chosen kernel,
-        # single queries and live updates through the node walk.
-        kernel="native" if canonical == "native" else "auto",
     )
     if args.data_dir is not None:
         from repro.store import DurableIndexStore

@@ -152,9 +152,6 @@ class DynamicHAIndex(HammingIndex):
         self._compiled = None
         self._compiled_mutations = -1
         self._compiled_tree_version = -1
-        self._compiled_native = None
-        self._compiled_native_mutations = -1
-        self._compiled_native_tree_version = -1
         self._tree_version = 0
 
     @property
@@ -187,8 +184,6 @@ class DynamicHAIndex(HammingIndex):
         """(Re)run H-Build over distinct codes and their id lists."""
         self._compiled = None
         self._compiled_mutations = -1
-        self._compiled_native = None
-        self._compiled_native_mutations = -1
         self._tree_version += 1
         self._top = []
         self._leaf_by_code = {}
@@ -584,56 +579,39 @@ class DynamicHAIndex(HammingIndex):
         :class:`~repro.core.flat_ha.FlatHAIndex` and caches the result
         keyed by :attr:`mutation_count`: any H-Insert/H-Delete (and any
         rebuild, including buffer merges) invalidates the cache, so a
-        stale kernel is never consulted.  ``force=True`` recompiles
-        unconditionally.
+        stale kernel is never consulted.  When only the insert buffer
+        changed since the cached compile, the flattened tree arrays are
+        reused and just the buffer is re-snapshotted — the cheap path
+        that keeps batched serving viable under buffered-write traffic.
+        ``force=True`` recompiles unconditionally.
         """
         from repro.core.flat_ha import FlatHAIndex
 
-        return self._compile_plane(FlatHAIndex, "_compiled", force)
+        cached = self._compiled
+        if not force and cached is not None:
+            if self._compiled_mutations == self.mutation_count:
+                return cached
+            if self._compiled_tree_version == self._tree_version:
+                self._compiled = FlatHAIndex.rebuffered(cached, self)
+                self._compiled_mutations = self.mutation_count
+                return self._compiled
+        self._compiled = FlatHAIndex(self)
+        self._compiled_mutations = self.mutation_count
+        self._compiled_tree_version = self._tree_version
+        return self._compiled
 
     def compile_native(self, force: bool = False):
-        """The native-executed query kernel for this index state.
+        """The native-executed view of :meth:`compile`'s kernel.
 
-        Same flattening and caching as :meth:`compile`, but the result
-        is a :class:`~repro.core.native_ha.NativeHAIndex`, whose sweeps
-        run through the tiered compiled backends
-        (:mod:`repro.core.native`) with the numpy path as automatic
-        fallback.  Cached independently of the flat kernel.
+        A :class:`~repro.core.native_ha.NativeHAIndex` that shares every
+        array of the cached flat kernel (one flatten serves both
+        planes) and sweeps through the compiled backend
+        (:mod:`repro.core.native`), with the numpy path as automatic
+        fallback.
         """
         from repro.core.native_ha import NativeHAIndex
 
-        return self._compile_plane(NativeHAIndex, "_compiled_native", force)
-
-    def _compile_plane(self, kernel_cls, cache_attr: str, force: bool):
-        """Shared compile cache for the flat and native planes.
-
-        Keyed by ``mutation_count``: any H-Insert/H-Delete (and any
-        rebuild, including buffer merges) invalidates the cache.  When
-        only the insert buffer changed since the cached compile, the
-        flattened tree arrays are reused and just the buffer is
-        re-snapshotted — the cheap path that keeps batched serving
-        viable under buffered-write traffic.
-        """
-        cached = getattr(self, cache_attr, None)
-        if not force and cached is not None:
-            if getattr(self, cache_attr + "_mutations", -1) == (
-                self.mutation_count
-            ):
-                return cached
-            if getattr(self, cache_attr + "_tree_version", -1) == (
-                self._tree_version
-            ):
-                compiled = kernel_cls.rebuffered(cached, self)
-                setattr(self, cache_attr, compiled)
-                setattr(
-                    self, cache_attr + "_mutations", self.mutation_count
-                )
-                return compiled
-        compiled = kernel_cls(self)
-        setattr(self, cache_attr, compiled)
-        setattr(self, cache_attr + "_mutations", self.mutation_count)
-        setattr(self, cache_attr + "_tree_version", self._tree_version)
-        return compiled
+        return NativeHAIndex.view(self.compile(force))
 
     def search_batch(
         self, queries: Sequence[int], threshold: int
@@ -985,9 +963,6 @@ class DynamicHAIndex(HammingIndex):
         self._compiled = None
         self._compiled_mutations = -1
         self._compiled_tree_version = -1
-        self._compiled_native = None
-        self._compiled_native_mutations = -1
-        self._compiled_native_tree_version = -1
         self._tree_version = 0
         self._window = state["window"]
         self._max_depth = state["max_depth"]

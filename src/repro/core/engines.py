@@ -192,8 +192,8 @@ ENGINES: dict[str, EngineSpec] = {
         ),
         EngineSpec(
             "native",
-            "flat kernel swept by compiled backends (numba/cc, "
-            "numpy fallback)",
+            "flat kernel swept by the compiled C backend "
+            "(numpy fallback)",
             _build_native,
             aliases=("jit", "compiled"),
             batched=True,

@@ -146,11 +146,25 @@ class FlatHAIndex(HammingIndex):
         """
         clone = cls.__new__(cls)
         clone.__dict__.update(cached.__dict__)
+        # A native view snapshots its kernel's buffer, so the clone gets
+        # a fresh one on demand; the view's state binds only the shared
+        # tree arrays and carries over.
+        view = clone.__dict__.pop("_native_view", None)
+        if view is not None:
+            clone._native_state = view._native_state
         clone.source_mutations = source.mutation_count
         clone._size = len(source)
         clone.last_search_ops = 0
         clone._snapshot_buffer(source)
         return clone
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        # The native view and its state hold raw pointers into this
+        # process; receivers rebuild them on first query.
+        state.pop("_native_view", None)
+        state.pop("_native_state", None)
+        return state
 
     # -- flattening --------------------------------------------------------
 

@@ -17,7 +17,7 @@ The probe engine is any name from the central registry
   probes it in chunks through ``search_batch``, one vectorized frontier
   sweep per chunk;
 * ``engine="native"`` does the same through the compiled native plane
-  (:class:`NativeHAIndex`: numba or the cc kernel, numpy fallback);
+  (:class:`NativeHAIndex`: the cc kernel, numpy fallback);
 * ``engine="mih"`` indexes the build side with Multi-Index Hashing and
   probes through its batched substring sweeps;
 * any other registered engine (``mh4``, ``hengine``, ...) is probed

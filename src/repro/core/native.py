@@ -1,39 +1,37 @@
-"""Tiered native backends for the H-Search frontier sweep.
+"""The compiled backend of the H-Search frontier sweep.
 
 :class:`~repro.core.native_ha.NativeHAIndex` answers queries through a
 compiled sweep when one is available, and through the numpy flat kernel
-otherwise.  This module owns the backend tiers and the per-kernel
-execution state:
+otherwise.  This module owns the two tiers and the per-kernel execution
+state:
 
-* ``numba`` — ``@njit``-compiled mirrors of the sweep (optional
-  dependency; exercised by the CI numba leg).
-* ``cc`` — the same kernel as embedded C, compiled once per source
-  digest with the system compiler and loaded via ``ctypes``.  This is
-  the tier that exists on any box with a toolchain but no numba.
+* ``cc`` — the sweep as embedded C, compiled once per source digest
+  with the system compiler and loaded via ``ctypes``.
 * ``numpy`` — no native state at all; callers keep using the
   vectorized :class:`~repro.core.flat_ha.FlatHAIndex` sweeps.
 
-Selection is ``numba > cc > numpy`` under ``auto``, overridable with
-the ``REPRO_NATIVE`` environment variable (``auto``/``numba``/``cc``/
-``numpy``; unknown values behave as ``auto``) or, in tests, the
-:func:`force_backend` context manager.  Both compiled tiers replay the
-*exact* run-based traversal of the numpy sweep — same visit order, same
-emissions, same distance-computation count — so results and
+Selection is ``cc`` when the library builds and ``numpy`` otherwise,
+overridable with the ``REPRO_NATIVE`` environment variable
+(``auto``/``cc``/``numpy``; unknown values behave as ``auto``) or, in
+tests, the :func:`force_backend` context manager.  The C sweep replays
+the *exact* run-based traversal of the numpy sweep — same visit order,
+same emissions, same distance-computation count — so results and
 ``last_search_ops`` stay byte-identical across tiers; the differential
 suite enforces that.
 
 The frontier is kept as contiguous ``(first child, count)`` slot runs
 rather than materialized node lists: children of one node occupy one
 contiguous slot range in the next level, so each level walks sequential
-memory.  Scratch run buffers (and, for ``cc``, the bound kernel struct)
-live in a per-index :class:`NativeState` guarded by a lock — the
-compiled calls drop the GIL, and one kernel may be probed from several
-threads by the parallel-join thread fallback.
+memory.  Scratch run buffers and the bound kernel struct live in a
+per-kernel :class:`NativeState` guarded by a lock — the compiled calls
+drop the GIL, and one kernel may be probed from several threads by the
+parallel-join thread fallback.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -62,19 +60,9 @@ __all__ = [
 #: Environment variable naming the requested backend tier.
 ENV_VAR = "REPRO_NATIVE"
 
-_VALID_CHOICES = ("auto", "numba", "cc", "numpy")
-
-#: Probe order per requested tier; a missing tier falls through.
-_TIER_ORDER = {
-    "auto": ("numba", "cc"),
-    "numba": ("numba",),
-    "cc": ("cc",),
-    "numpy": (),
-}
+_VALID_CHOICES = ("auto", "cc", "numpy")
 
 _FORCED: str | None = None
-_BACKENDS: dict[str, object | None] = {}
-_LOAD_LOCK = threading.Lock()
 
 
 def requested_backend() -> str:
@@ -109,41 +97,34 @@ def force_backend(name: str):
 
 def active_backend() -> str:
     """The tier a new :class:`NativeState` would execute on right now."""
-    for name in _TIER_ORDER[requested_backend()]:
-        if _backend_impl(name) is not None:
-            return name
+    if requested_backend() != "numpy" and _library() is not None:
+        return "cc"
     return "numpy"
 
 
-def make_state(flat: "FlatHAIndex"):
+def make_state(flat: "FlatHAIndex") -> "NativeState | None":
     """Native execution state bound to ``flat``'s arrays, or ``None``.
 
     ``None`` means "use the numpy sweeps": multi-word codes, a
-    ``numpy`` selection, or no working compiled tier.  The state holds
+    ``numpy`` selection, or no working C toolchain.  The state holds
     contiguous references to the kernel's tree arrays (never the insert
     buffer — buffered comparisons stay in numpy), so it remains valid
     for every :meth:`FlatHAIndex.rebuffered` clone of the same tree.
     """
     if flat._words != 1 or flat._bits1 is None:
         return None
-    name = active_backend()
-    if name == "numba":
-        return _NumbaState(_backend_impl("numba"), flat)
-    if name == "cc":
-        return _CcState(_backend_impl("cc"), flat)
-    return None
+    if active_backend() == "numpy":
+        return None
+    return NativeState(_library(), flat)
 
 
-def _backend_impl(name: str):
-    if name not in _BACKENDS:
-        with _LOAD_LOCK:
-            if name not in _BACKENDS:
-                loader = _load_numba if name == "numba" else _load_cc
-                try:
-                    _BACKENDS[name] = loader()
-                except Exception:  # toolchain/dep missing: tier is off
-                    _BACKENDS[name] = None
-    return _BACKENDS[name]
+@functools.cache
+def _library():
+    """The loaded C kernel, or ``None`` when it cannot be built here."""
+    try:
+        return _load_cc()
+    except Exception:  # no toolchain, or the smoke check failed
+        return None
 
 
 # -- the C tier -------------------------------------------------------------
@@ -458,9 +439,9 @@ def _load_cc():
     return lib
 
 
-def _smoke_arrays():
-    """A one-leaf kernel (code 0b0, id 7) for backend validation."""
-    return {
+def _smoke_cc(lib) -> None:
+    """Run a one-leaf kernel (code 0b0, id 7) through the library."""
+    arrays = {
         "bits": np.zeros(1, dtype=np.uint64),
         "masks": np.full(1, np.uint64(0xFFFFFFFFFFFFFFFF)),
         "unc": np.zeros(1, dtype=np.int64),
@@ -473,21 +454,8 @@ def _smoke_arrays():
         "ids_flat": np.array([7], dtype=np.int64),
         "frequency": np.ones(1, dtype=np.int64),
     }
-
-
-def _smoke_cc(lib) -> None:
-    arrays = _smoke_arrays()
     scratch = [np.zeros(2, dtype=np.int64) for _ in range(4)]
-    struct = _HsKernelStruct(
-        **{name: c_void_p(arr.ctypes.data) for name, arr in arrays.items()},
-        top_count=1,
-        leaf_level_start=0,
-        simple=1,
-        run_first=c_void_p(scratch[0].ctypes.data),
-        run_count=c_void_p(scratch[1].ctypes.data),
-        next_first=c_void_p(scratch[2].ctypes.data),
-        next_count=c_void_p(scratch[3].ctypes.data),
-    )
+    struct = _bind(arrays, scratch, top_count=1, leaf_level_start=0, simple=1)
     out = np.zeros(4, dtype=np.int64)
     ops = c_int64(0)
     written = lib.hs_query64(
@@ -497,300 +465,79 @@ def _smoke_cc(lib) -> None:
         raise RuntimeError("cc kernel smoke check failed")
 
 
-# -- the numba tier ---------------------------------------------------------
-
-
-def _load_numba():
-    """``@njit`` mirrors of the C entry points (lazy; optional dep).
-
-    The SWAR popcount uses explicit ``uint64`` constants so type
-    inference never widens; everything else is a line-for-line port of
-    the run-based C sweep, so visit order, emissions and op counts are
-    identical across all three tiers.
-    """
-    from numba import njit  # deliberate ImportError when absent
-
-    u64 = np.uint64
-    m1 = u64(0x5555555555555555)
-    m2 = u64(0x3333333333333333)
-    m4 = u64(0x0F0F0F0F0F0F0F0F)
-    h01 = u64(0x0101010101010101)
-    s1, s2, s4, s56 = u64(1), u64(2), u64(4), u64(56)
-
-    @njit(nogil=True)
-    def popcnt(x):
-        x = x - ((x >> s1) & m1)
-        x = (x & m2) + ((x >> s2) & m2)
-        x = (x + (x >> s4)) & m4
-        return np.int64((x * h01) >> s56)
-
-    @njit(nogil=True)
-    def query(bits, masks, unc, is_leaf, child_first, child_count,
-              leaf_lo, leaf_hi, id_offsets, ids_flat,
-              top_count, leaf_level_start, simple,
-              query_word, threshold, mode, rf, rc, nf, nc, out):
-        nruns = 0
-        if top_count > 0:
-            rf[0] = 0
-            rc[0] = top_count
-            nruns = 1
-        ops = 0
-        written = 0
-        cap = out.shape[0]
-        while nruns > 0:
-            if rf[0] >= leaf_level_start:
-                for r in range(nruns):
-                    a = rf[r]
-                    b = a + rc[r]
-                    ops += rc[r]
-                    for s in range(a, b):
-                        if popcnt(bits[s] ^ query_word) <= threshold:
-                            if mode == 0:
-                                lo = id_offsets[leaf_lo[s]]
-                                hi = id_offsets[leaf_hi[s]]
-                                if written + (hi - lo) > cap:
-                                    return (-1, 0)
-                                for p in range(lo, hi):
-                                    out[written] = ids_flat[p]
-                                    written += 1
-                            else:
-                                lo = leaf_lo[s]
-                                hi = leaf_hi[s]
-                                if written + (hi - lo) > cap:
-                                    return (-1, 0)
-                                for p in range(lo, hi):
-                                    out[written] = p
-                                    written += 1
-                break
-            nnext = 0
-            for r in range(nruns):
-                a = rf[r]
-                b = a + rc[r]
-                ops += rc[r]
-                for s in range(a, b):
-                    d = popcnt((bits[s] ^ query_word) & masks[s])
-                    cover = d + unc[s] <= threshold
-                    if simple == 0 and not cover:
-                        cover = d <= threshold and is_leaf[s] != 0
-                    if cover:
-                        if mode == 0:
-                            lo = id_offsets[leaf_lo[s]]
-                            hi = id_offsets[leaf_hi[s]]
-                            if written + (hi - lo) > cap:
-                                return (-1, 0)
-                            for p in range(lo, hi):
-                                out[written] = ids_flat[p]
-                                written += 1
-                        else:
-                            lo = leaf_lo[s]
-                            hi = leaf_hi[s]
-                            if written + (hi - lo) > cap:
-                                return (-1, 0)
-                            for p in range(lo, hi):
-                                out[written] = p
-                                written += 1
-                    elif d <= threshold and child_count[s] > 0:
-                        nf[nnext] = child_first[s]
-                        nc[nnext] = child_count[s]
-                        nnext += 1
-            t = rf
-            rf = nf
-            nf = t
-            t = rc
-            rc = nc
-            nc = t
-            nruns = nnext
-        return (written, ops)
-
-    @njit(nogil=True)
-    def query_batch(bits, masks, unc, is_leaf, child_first, child_count,
-                    leaf_lo, leaf_hi, id_offsets, ids_flat,
-                    top_count, leaf_level_start, simple,
-                    queries, threshold, mode, rf, rc, nf, nc,
-                    out, counts):
-        total = 0
-        ops_total = 0
-        for i in range(queries.shape[0]):
-            written, ops = query(
-                bits, masks, unc, is_leaf, child_first, child_count,
-                leaf_lo, leaf_hi, id_offsets, ids_flat,
-                top_count, leaf_level_start, simple,
-                queries[i], threshold, mode, rf, rc, nf, nc,
-                out[total:],
-            )
-            if written < 0:
-                return (-1, 0)
-            counts[i] = written
-            total += written
-            ops_total += ops
-        return (total, ops_total)
-
-    @njit(nogil=True)
-    def count(bits, masks, unc, is_leaf, child_first, child_count,
-              frequency, top_count, leaf_level_start, simple,
-              query_word, threshold, rf, rc, nf, nc):
-        nruns = 0
-        if top_count > 0:
-            rf[0] = 0
-            rc[0] = top_count
-            nruns = 1
-        total = 0
-        while nruns > 0:
-            if rf[0] >= leaf_level_start:
-                for r in range(nruns):
-                    a = rf[r]
-                    b = a + rc[r]
-                    for s in range(a, b):
-                        if popcnt(bits[s] ^ query_word) <= threshold:
-                            total += frequency[s]
-                break
-            nnext = 0
-            for r in range(nruns):
-                a = rf[r]
-                b = a + rc[r]
-                for s in range(a, b):
-                    d = popcnt((bits[s] ^ query_word) & masks[s])
-                    settle = d + unc[s] <= threshold
-                    if simple == 0 and not settle:
-                        settle = d <= threshold and is_leaf[s] != 0
-                    if settle:
-                        total += frequency[s]
-                    elif d <= threshold and child_count[s] > 0:
-                        nf[nnext] = child_first[s]
-                        nc[nnext] = child_count[s]
-                        nnext += 1
-            t = rf
-            rf = nf
-            nf = t
-            t = rc
-            rc = nc
-            nc = t
-            nruns = nnext
-        return total
-
-    @njit(nogil=True)
-    def contains(bits, masks, unc, is_leaf, child_first, child_count,
-                 top_count, leaf_level_start, simple,
-                 query_word, threshold, rf, rc, nf, nc):
-        nruns = 0
-        if top_count > 0:
-            rf[0] = 0
-            rc[0] = top_count
-            nruns = 1
-        while nruns > 0:
-            if rf[0] >= leaf_level_start:
-                for r in range(nruns):
-                    a = rf[r]
-                    b = a + rc[r]
-                    for s in range(a, b):
-                        if popcnt(bits[s] ^ query_word) <= threshold:
-                            return True
-                return False
-            nnext = 0
-            for r in range(nruns):
-                a = rf[r]
-                b = a + rc[r]
-                for s in range(a, b):
-                    d = popcnt((bits[s] ^ query_word) & masks[s])
-                    hit = d + unc[s] <= threshold
-                    if simple == 0 and not hit:
-                        hit = d <= threshold and is_leaf[s] != 0
-                    if hit:
-                        return True
-                    if d <= threshold and child_count[s] > 0:
-                        nf[nnext] = child_first[s]
-                        nc[nnext] = child_count[s]
-                        nnext += 1
-            t = rf
-            rf = nf
-            nf = t
-            t = rc
-            rc = nc
-            nc = t
-            nruns = nnext
-        return False
-
-    funcs = {
-        "query": query,
-        "query_batch": query_batch,
-        "count": count,
-        "contains": contains,
-    }
-    _smoke_numba(funcs)
-    return funcs
-
-
-def _smoke_numba(funcs) -> None:
-    arrays = _smoke_arrays()
-    scratch = [np.zeros(2, dtype=np.int64) for _ in range(4)]
-    out = np.zeros(4, dtype=np.int64)
-    written, ops = funcs["query"](
-        arrays["bits"], arrays["masks"], arrays["unc"],
-        arrays["is_leaf"], arrays["child_first"], arrays["child_count"],
-        arrays["leaf_lo"], arrays["leaf_hi"], arrays["id_offsets"],
-        arrays["ids_flat"], 1, 0, 1,
-        np.uint64(0), 0, 0, *scratch, out,
+def _bind(arrays: dict, scratch: list, **scalars) -> _HsKernelStruct:
+    """An ``HsKernel`` struct pointing at ``arrays`` and ``scratch``."""
+    runs = ("run_first", "run_count", "next_first", "next_count")
+    return _HsKernelStruct(
+        **{name: c_void_p(arr.ctypes.data) for name, arr in arrays.items()},
+        **{name: c_void_p(arr.ctypes.data) for name, arr in zip(runs, scratch)},
+        **scalars,
     )
-    if written != 1 or out[0] != 7 or ops != 1:
-        raise RuntimeError("numba kernel smoke check failed")
 
 
-# -- per-index execution state ----------------------------------------------
+# -- per-kernel execution state ---------------------------------------------
 
 
-class _StateBase:
-    """Contiguous tree-array bindings shared by both compiled tiers.
+class NativeState:
+    """One flat kernel's tree arrays bound to the compiled C sweep.
 
     Keeps its own references to every bound array so the memory can
-    never be collected while a raw pointer (or a numba call) is
-    outstanding.  ``lock`` serializes access to the scratch run
-    buffers — both tiers release the GIL while sweeping.
+    never be collected while a raw pointer is outstanding.  ``lock``
+    serializes access to the scratch run buffers — the compiled calls
+    release the GIL while sweeping.
     """
 
-    backend = "none"
+    backend = "cc"
 
-    def __init__(self, flat: "FlatHAIndex") -> None:
+    def __init__(self, lib, flat: "FlatHAIndex") -> None:
         self.lock = threading.Lock()
-        self.bits = np.ascontiguousarray(flat._bits1)
-        self.masks = np.ascontiguousarray(flat._masks1)
-        self.unc = np.ascontiguousarray(flat._uncovered)
-        self.is_leaf = np.ascontiguousarray(flat._is_leaf).view(np.uint8)
-        self.child_first = np.ascontiguousarray(flat._child_first)
-        self.child_count = np.ascontiguousarray(flat._child_count)
-        self.leaf_lo = np.ascontiguousarray(flat._leaf_lo)
-        self.leaf_hi = np.ascontiguousarray(flat._leaf_hi)
-        self.id_offsets = np.ascontiguousarray(flat._id_offsets)
-        self.ids_flat = np.ascontiguousarray(flat._ids_flat)
-        self.frequency = np.ascontiguousarray(flat._frequency)
-        self.top_count = int(flat._top_slots.size)
-        self.leaf_level_start = int(flat._leaf_level_start)
-        self.simple = int(flat._cover_is_collect)
-        scratch_len = flat.num_nodes + 1
+        self._lib = lib
+        self.arrays = {
+            name: np.ascontiguousarray(array)
+            for name, array in (
+                ("bits", flat._bits1),
+                ("masks", flat._masks1),
+                ("unc", flat._uncovered),
+                ("is_leaf", flat._is_leaf.view(np.uint8)),
+                ("child_first", flat._child_first),
+                ("child_count", flat._child_count),
+                ("leaf_lo", flat._leaf_lo),
+                ("leaf_hi", flat._leaf_hi),
+                ("id_offsets", flat._id_offsets),
+                ("ids_flat", flat._ids_flat),
+                ("frequency", flat._frequency),
+            )
+        }
         self.scratch = [
-            np.empty(scratch_len, dtype=np.int64) for _ in range(4)
+            np.empty(flat.num_nodes + 1, dtype=np.int64) for _ in range(4)
         ]
         # Taken nodes have disjoint leaf ranges (a covered node is
         # never expanded), so one query emits at most every id / leaf
         # position once: this buffer provably never overflows for
         # single-query calls.
         self.out_cap = max(
-            int(self.ids_flat.size), int(self.id_offsets.size), 256
+            int(flat._ids_flat.size), int(flat._id_offsets.size), 256
         )
         self.out = np.empty(self.out_cap, dtype=np.int64)
-
-    def _run_single(self, query: int, threshold: int, mode: int):
-        raise NotImplementedError
-
-    def _run_batch(self, queries, threshold, mode, out, counts):
-        raise NotImplementedError
+        self._struct = _bind(
+            self.arrays,
+            self.scratch,
+            top_count=int(flat._top_slots.size),
+            leaf_level_start=int(flat._leaf_level_start),
+            simple=int(flat._cover_is_collect),
+        )
 
     def sweep(self, query: int, threshold: int, mode: int):
         """One query; returns (emitted int64 array, ops)."""
+        ops = c_int64(0)
         with self.lock:
-            written, ops = self._run_single(query, threshold, mode)
+            written = self._lib.hs_query64(
+                byref(self._struct), query, threshold, mode,
+                self.out.ctypes.data, self.out_cap, byref(ops),
+            )
             if written < 0:  # pragma: no cover - capacity is provable
                 raise IndexStateError("native sweep output overflow")
-            return self.out[:written].copy(), ops
+            return self.out[:written].copy(), int(ops.value)
 
     def sweep_batch(self, queries: np.ndarray, threshold: int, mode: int):
         """A query batch; returns (emitted, per-query counts, ops)."""
@@ -800,66 +547,18 @@ class _StateBase:
         hard_cap = max(self.out_cap * max(nq, 1), cap)
         while True:
             out = np.empty(cap, dtype=np.int64)
+            ops = c_int64(0)
             with self.lock:
-                total, ops = self._run_batch(
-                    queries, threshold, mode, out, counts
+                total = self._lib.hs_query_batch64(
+                    byref(self._struct), queries.ctypes.data, nq,
+                    threshold, mode, out.ctypes.data, out.size,
+                    counts.ctypes.data, byref(ops),
                 )
             if total >= 0:
-                return out[:total], counts, ops
+                return out[:total], counts, int(ops.value)
             if cap >= hard_cap:  # pragma: no cover - capacity is provable
                 raise IndexStateError("native sweep output overflow")
             cap = min(cap * 2, hard_cap)
-
-    def count(self, query: int, threshold: int) -> int:
-        raise NotImplementedError
-
-    def contains(self, query: int, threshold: int) -> bool:
-        raise NotImplementedError
-
-
-class _CcState(_StateBase):
-    backend = "cc"
-
-    def __init__(self, lib, flat: "FlatHAIndex") -> None:
-        super().__init__(flat)
-        self._lib = lib
-        self._struct = _HsKernelStruct(
-            bits=c_void_p(self.bits.ctypes.data),
-            masks=c_void_p(self.masks.ctypes.data),
-            unc=c_void_p(self.unc.ctypes.data),
-            is_leaf=c_void_p(self.is_leaf.ctypes.data),
-            child_first=c_void_p(self.child_first.ctypes.data),
-            child_count=c_void_p(self.child_count.ctypes.data),
-            leaf_lo=c_void_p(self.leaf_lo.ctypes.data),
-            leaf_hi=c_void_p(self.leaf_hi.ctypes.data),
-            id_offsets=c_void_p(self.id_offsets.ctypes.data),
-            ids_flat=c_void_p(self.ids_flat.ctypes.data),
-            frequency=c_void_p(self.frequency.ctypes.data),
-            top_count=self.top_count,
-            leaf_level_start=self.leaf_level_start,
-            simple=self.simple,
-            run_first=c_void_p(self.scratch[0].ctypes.data),
-            run_count=c_void_p(self.scratch[1].ctypes.data),
-            next_first=c_void_p(self.scratch[2].ctypes.data),
-            next_count=c_void_p(self.scratch[3].ctypes.data),
-        )
-
-    def _run_single(self, query: int, threshold: int, mode: int):
-        ops = c_int64(0)
-        written = self._lib.hs_query64(
-            byref(self._struct), query, threshold, mode,
-            self.out.ctypes.data, self.out_cap, byref(ops),
-        )
-        return written, int(ops.value)
-
-    def _run_batch(self, queries, threshold, mode, out, counts):
-        ops = c_int64(0)
-        total = self._lib.hs_query_batch64(
-            byref(self._struct), queries.ctypes.data, queries.size,
-            threshold, mode, out.ctypes.data, out.size,
-            counts.ctypes.data, byref(ops),
-        )
-        return total, int(ops.value)
 
     def count(self, query: int, threshold: int) -> int:
         with self.lock:
@@ -872,55 +571,5 @@ class _CcState(_StateBase):
             return bool(
                 self._lib.hs_contains64(
                     byref(self._struct), query, threshold
-                )
-            )
-
-
-class _NumbaState(_StateBase):
-    backend = "numba"
-
-    def __init__(self, funcs, flat: "FlatHAIndex") -> None:
-        super().__init__(flat)
-        self._funcs = funcs
-
-    def _tree_args(self):
-        return (
-            self.bits, self.masks, self.unc, self.is_leaf,
-            self.child_first, self.child_count, self.leaf_lo,
-            self.leaf_hi, self.id_offsets, self.ids_flat,
-            self.top_count, self.leaf_level_start, self.simple,
-        )
-
-    def _run_single(self, query: int, threshold: int, mode: int):
-        return self._funcs["query"](
-            *self._tree_args(), np.uint64(query), threshold, mode,
-            *self.scratch, self.out,
-        )
-
-    def _run_batch(self, queries, threshold, mode, out, counts):
-        return self._funcs["query_batch"](
-            *self._tree_args(), queries, threshold, mode,
-            *self.scratch, out, counts,
-        )
-
-    def count(self, query: int, threshold: int) -> int:
-        with self.lock:
-            return int(
-                self._funcs["count"](
-                    self.bits, self.masks, self.unc, self.is_leaf,
-                    self.child_first, self.child_count, self.frequency,
-                    self.top_count, self.leaf_level_start, self.simple,
-                    np.uint64(query), threshold, *self.scratch,
-                )
-            )
-
-    def contains(self, query: int, threshold: int) -> bool:
-        with self.lock:
-            return bool(
-                self._funcs["contains"](
-                    self.bits, self.masks, self.unc, self.is_leaf,
-                    self.child_first, self.child_count,
-                    self.top_count, self.leaf_level_start, self.simple,
-                    np.uint64(query), threshold, *self.scratch,
                 )
             )

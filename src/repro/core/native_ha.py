@@ -1,25 +1,28 @@
 """The native (compiled) query plane of the Dynamic HA-Index.
 
 :class:`NativeHAIndex` is a :class:`~repro.core.flat_ha.FlatHAIndex`
-whose sweeps run through a compiled backend
-(:mod:`repro.core.native`: numba when importable, a cc-built ctypes
-kernel otherwise) instead of the vectorized numpy frontier.  The
-compiled sweep replays the numpy traversal exactly — same visit order,
-same emissions, same distance-computation count — so every query
+whose sweeps run through the compiled C backend
+(:mod:`repro.core.native`) instead of the vectorized numpy frontier.
+The compiled sweep replays the numpy traversal exactly — same visit
+order, same emissions, same distance-computation count — so every query
 answers byte-identically to the flat plane and ``last_search_ops``
 still sums to the node walk's count.  Only the hot traversal moves to
 native code; candidate ranking, buffered-insert comparisons, and code
 dedup stay in the shared numpy helpers of the base class.
 
+A native index is a *view* of a flat kernel (:meth:`NativeHAIndex.view`,
+what :meth:`DynamicHAIndex.compile_native` returns): it shares every
+array of the kernel :meth:`DynamicHAIndex.compile` caches, so one
+flatten serves both planes.
+
 The plane degrades transparently:
 
-* no working compiled tier (``REPRO_NATIVE=numpy``, no numba, no C
-  compiler) → every call runs the inherited numpy sweeps;
+* no working compiled tier (``REPRO_NATIVE=numpy``, no C compiler) →
+  every call runs the inherited numpy sweeps;
 * multi-word codes (length > 64) → numpy sweeps (the compiled kernel
   is single-word);
 * active tracing → the instrumented numpy sweeps, so per-level
-  ``h_search.level`` spans keep their exact op attribution (the same
-  arrangement the node walk uses for its traced twin).
+  ``h_search.level`` spans keep their exact op attribution.
 
 Native execution state is created lazily and never pickled: kernels
 shipped into process pools (the parallel join path) or restored from
@@ -38,23 +41,37 @@ from repro.core.flat_ha import FlatHAIndex
 from repro.obs import note_search
 from repro.obs.trace import tracing
 
-#: Compiled sweep emission modes (must match the kernel sources).
+#: Compiled sweep emission modes (must match the kernel source).
 _MODE_IDS = 0
 _MODE_LEAF_POSITIONS = 1
 
 
 class NativeHAIndex(FlatHAIndex):
-    """Flat kernel executed through the tiered native backends."""
+    """Flat kernel executed through the compiled native backend."""
 
     ENGINE_LABEL = "native"
 
-    #: Class-level defaults so clones built via ``__new__`` (pickle,
-    #: ``from_state``, ``rebuffered``) lazily create their own state.
+    #: Class-level default so views and unpickled copies lazily create
+    #: their own state.
     _native_state = None
+
+    @classmethod
+    def view(cls, flat: FlatHAIndex) -> "NativeHAIndex":
+        """The native plane over ``flat``, sharing all of its arrays.
+
+        Cached on ``flat``: every call for one kernel returns the same
+        view, and with it one bound native state.
+        """
+        view = flat.__dict__.get("_native_view")
+        if view is None:
+            view = cls.__new__(cls)
+            view.__dict__.update(flat.__dict__)
+            flat._native_view = view
+        return view
 
     @property
     def backend(self) -> str:
-        """The tier answering right now: ``numba``, ``cc`` or ``numpy``."""
+        """The tier answering right now: ``cc`` or ``numpy``."""
         state = self._route()
         return state.backend if state is not None else "numpy"
 
@@ -62,26 +79,13 @@ class NativeHAIndex(FlatHAIndex):
         """The native state to sweep with, or ``None`` for numpy.
 
         Re-resolves the backend on every call so ``force_backend`` /
-        ``REPRO_NATIVE`` changes take effect immediately; the state is
-        cached per resolved tier (resolution itself is a dict lookup).
+        ``REPRO_NATIVE`` changes take effect immediately.
         """
-        if self._words != 1 or tracing():
+        if self._words != 1 or tracing() or native.active_backend() == "numpy":
             return None
-        token = native.active_backend()
-        if token == "numpy":
-            return None
-        state = self._native_state
-        if state is None or state.backend != token:
-            state = native.make_state(self)
-            self._native_state = state
-        return state
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # Backend state holds ctypes pointers / jitted dispatchers;
-        # receivers rebuild it lazily on first query.
-        state.pop("_native_state", None)
-        return state
+        if self._native_state is None:
+            self._native_state = native.make_state(self)
+        return self._native_state
 
     # -- single-query entry points ---------------------------------------
 

@@ -9,10 +9,10 @@ task order, byte-identical across backends:
 * :class:`SerialExecutor` — inline dispatch on the calling thread, the
   PR 5 behaviour and the differential baseline.
 * :class:`ThreadShardExecutor` — a persistent
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  The flat/MIH
-  kernels spend their time in numpy sweeps that release the GIL, so
-  shard fan-out overlaps on multi-core hosts while sharing the parent's
-  index objects (zero copies, zero coherence traffic).
+  :class:`~concurrent.futures.ThreadPoolExecutor`.  The compiled and
+  MIH kernels spend their time in C and numpy calls that release the
+  GIL, so shard fan-out overlaps on multi-core hosts while sharing the
+  parent's index objects (zero copies, zero coherence traffic).
 * :class:`ProcessShardExecutor` — spawn-once worker processes that
   warm-start each shard themselves: from the service's
   :class:`~repro.store.store.DurableIndexStore` via
@@ -79,6 +79,7 @@ from repro.obs.trace import (
     trace_span,
     tracing,
 )
+from repro.service.server import served_plane
 
 __all__ = [
     "POOL_KINDS",
@@ -380,9 +381,10 @@ class ThreadShardExecutor(ShardExecutor):
 # -- process pool ----------------------------------------------------------
 
 
-def _load_worker_shard(spec: tuple, batch_kernel: bool):
+def _load_worker_shard(spec: tuple):
     """Materialize one shard inside a worker from its spawn spec.
 
+    Warms the shard's served plane, so the first task pays no compile.
     Returns ``(index, applied_epoch)`` — the epoch the loaded state
     already covers, so buffered mutation broadcasts at or below it are
     skipped rather than double-applied.
@@ -406,8 +408,8 @@ def _load_worker_shard(spec: tuple, batch_kernel: bool):
 
         index = pickle.loads(spec[1])
         applied = spec[2]
-    if batch_kernel and len(index) and hasattr(index, "compile"):
-        index.compile()
+    if len(index):
+        served_plane(index)
     return index, applied
 
 
@@ -420,7 +422,6 @@ def _pool_worker_main(conn, init: dict) -> None:
     keeps serving the others and the parent falls back inline.
     """
     specs: dict[int, tuple] = init["specs"]
-    batch_kernel: bool = init["batch_kernel"]
     widx: int = init["worker"]
     shards: dict[int, list] = {}  # sid -> [index, applied_epoch]
     pending: dict[int, list] = {}  # sid -> [(op, code, tid, epoch)]
@@ -430,7 +431,7 @@ def _pool_worker_main(conn, init: dict) -> None:
         state = shards.get(sid)
         if state is not None:
             return state
-        index, applied = _load_worker_shard(specs[sid], batch_kernel)
+        index, applied = _load_worker_shard(specs[sid])
         for mop, code, tid, epoch in pending.pop(sid, ()):
             if epoch <= applied:
                 continue
@@ -482,14 +483,14 @@ def _pool_worker_main(conn, init: dict) -> None:
                             worker=widx,
                             op=op,
                         ):
-                            value = getattr(index, op)(*args)
+                            value = getattr(served_plane(index), op)(*args)
                     elapsed = time.perf_counter() - started
                     conn.send(
                         ("ok", task_id, value, span.as_dict(), elapsed)
                     )
                 else:
                     started = time.perf_counter()
-                    value = getattr(index, op)(*args)
+                    value = getattr(served_plane(index), op)(*args)
                     elapsed = time.perf_counter() - started
                     conn.send(("ok", task_id, value, None, elapsed))
             except Exception as error:  # noqa: BLE001
@@ -606,7 +607,6 @@ class ProcessShardExecutor(ShardExecutor):
                     child_conn,
                     {
                         "specs": specs,
-                        "batch_kernel": True,
                         "worker": index,
                     },
                 ),
@@ -839,7 +839,6 @@ class ProcessShardExecutor(ShardExecutor):
                     child_conn,
                     {
                         "specs": specs,
-                        "batch_kernel": True,
                         "worker": worker.index,
                     },
                 ),

@@ -13,13 +13,14 @@ contract) and serves three query kinds concurrently:
 Concurrency model
 -----------------
 Queries are admitted through a bounded queue (backpressure), coalesced
-into micro-batches and executed by a worker pool.  The index itself is
-guarded by a single traversal mutex: H-Search stamps per-node visited
-epochs into the shared node graph, so traversals of one structure are
-inherently serialized — and under CPython's GIL parallel traversal buys
-nothing anyway.  The real serving-layer wins are (a) one lock/epoch
-acquisition per *batch* instead of per query, (b) in-batch dedup of
-identical queries, and (c) the epoch-keyed LRU result cache, which on
+into micro-batches and executed by a worker pool.  Every read is
+answered by the index's compiled plane (:func:`served_plane`), which
+is cached on the index and recompiled after writes, so the index and
+its plane are guarded by a single mutex.  The real serving-layer wins
+are (a) the compiled sweep instead of the Python node walk, one
+vectorized sweep per same-threshold group, (b) one lock/epoch
+acquisition per *batch* instead of per query, (c) in-batch dedup of
+identical queries, and (d) the epoch-keyed LRU result cache, which on
 skewed workloads absorbs most traffic without touching the index.
 
 Writers apply H-Insert/H-Delete (Algorithm 2) through the service under
@@ -44,7 +45,9 @@ from repro.core.errors import (
     StoreError,
 )
 from repro.core.index_base import HammingIndex
-from repro.core.knn import knn_select, knn_select_batch
+# ``knn_select`` sits beside ``knn_select_batch`` so that timing
+# harnesses can wrap the service's kNN entry points by name.
+from repro.core.knn import knn_select, knn_select_batch  # noqa: F401
 from repro.obs import REGISTRY
 from repro.obs.trace import trace
 from repro.service.admission import AdmissionQueue
@@ -101,19 +104,6 @@ class HammingQueryService:
         queue_limit: admission bound (waiting queries) before
             backpressure rejections start.
         cache_capacity: LRU result-cache entries (0 disables caching).
-        batch_kernel: execute the uncached ``select`` queries of a
-            micro-batch through the index's vectorized ``search_batch``
-            (one shared frontier sweep per distinct threshold) when the
-            served index offers one; other kinds and indexes without a
-            batch kernel run query-at-a-time as before.
-        kernel: which compiled plane answers the batched misses of a
-            Dynamic HA-Index: ``"auto"`` (the index's own
-            ``search_batch``, i.e. the flat kernel), ``"flat"``, or
-            ``"native"`` (``compile_native()``, the tiered compiled
-            backends).  The compile caches are keyed by mutation
-            count, so live :meth:`insert`/:meth:`delete` traffic stays
-            correct — a stale kernel is never consulted.  Ignored for
-            indexes without ``compile()``.
         default_timeout: server-side deadline in seconds applied to
             queries submitted without an explicit timeout (``None``
             means queries never expire).
@@ -147,8 +137,6 @@ class HammingQueryService:
         max_batch: int = DEFAULT_MAX_BATCH,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        batch_kernel: bool = True,
-        kernel: str = "auto",
         default_timeout: float | None = None,
         linger_seconds: float = 0.0,
         start: bool = True,
@@ -159,11 +147,6 @@ class HammingQueryService:
     ) -> None:
         if default_timeout is not None and default_timeout <= 0:
             raise InvalidParameterError("default_timeout must be positive")
-        if kernel not in ("auto", "flat", "native"):
-            raise InvalidParameterError(
-                f"kernel must be 'auto', 'flat', or 'native', "
-                f"not {kernel!r}"
-            )
         if data_dir is not None and store is not None:
             raise InvalidParameterError(
                 "pass either data_dir or store, not both"
@@ -181,8 +164,6 @@ class HammingQueryService:
         self._store = store
         self._index = index
         self._index_lock = threading.Lock()
-        self._batch_kernel = batch_kernel
-        self._kernel = kernel
         self._trace_batches = trace_batches
         self._epoch = store.last_seq if store is not None else 0
         self._default_timeout = default_timeout
@@ -593,68 +574,39 @@ class HammingQueryService:
     ) -> list[tuple[tuple[str, int, int], object]]:
         """Execute the uncached query groups of one micro-batch.
 
-        When the served index exposes ``search_batch`` (duck-typed, so
-        any conforming index qualifies), the ``select`` misses sharing
-        a threshold are answered by one vectorized frontier sweep
-        instead of serially; ``knn`` misses sharing a ``k`` likewise
-        fuse through :func:`knn_select_batch` when the index offers
-        batched distance search, so the expanding-threshold rounds run
-        once per batch instead of once per query.  Remaining kinds fall
-        through to :func:`_run_query`.  Runs under the index mutex.
+        Every miss is answered by the index's :func:`served_plane`:
+        ``select`` misses sharing a threshold through one vectorized
+        ``search_batch`` sweep (query-at-a-time on planes without one),
+        ``knn`` misses sharing a ``k`` through :func:`knn_select_batch`,
+        so the expanding-threshold rounds run once per group, and
+        probes through the plane's ``contains_within``.  Runs under the
+        index mutex.
         """
-        plane = index
-        if self._batch_kernel and self._kernel != "auto":
-            if self._kernel == "native" and hasattr(
-                index, "compile_native"
-            ):
-                plane = index.compile_native()
-            elif self._kernel == "flat" and hasattr(index, "compile"):
-                plane = index.compile()
-        search_batch = (
-            getattr(plane, "search_batch", None)
-            if self._batch_kernel
-            else None
-        )
-        knn_batchable = self._batch_kernel and hasattr(
-            plane, "search_with_distances_batch"
-        )
+        if not misses:
+            return []
+        plane = served_plane(index)
+        search_batch = getattr(plane, "search_batch", None)
         results: list[tuple[tuple[str, int, int], object]] = []
-        rest: list[tuple[str, int, int]] = []
-        if search_batch is not None:
-            by_threshold: dict[int, list[tuple[str, int, int]]] = {}
-            by_k: dict[int, list[tuple[str, int, int]]] = {}
-            for key in misses:
-                if key[0] == "select":
-                    by_threshold.setdefault(key[2], []).append(key)
-                elif key[0] == "knn" and knn_batchable:
-                    by_k.setdefault(key[2], []).append(key)
-                else:
-                    rest.append(key)
-            for threshold, keys in by_threshold.items():
-                if len(keys) < 2:
-                    rest.extend(keys)
-                    continue
-                id_lists = search_batch(
-                    [key[1] for key in keys], threshold
-                )
-                results.extend(
-                    (key, tuple(ids))
-                    for key, ids in zip(keys, id_lists)
-                )
-            for k, keys in by_k.items():
-                if len(keys) < 2:
-                    rest.extend(keys)
-                    continue
-                pair_lists = knn_select_batch(
-                    [key[1] for key in keys], plane, k
-                )
-                results.extend(
-                    (key, tuple(pairs))
-                    for key, pairs in zip(keys, pair_lists)
-                )
-        else:
-            rest = misses
-        results.extend((key, _run_query(index, *key)) for key in rest)
+        by_threshold: dict[int, list[tuple[str, int, int]]] = {}
+        by_k: dict[int, list[tuple[str, int, int]]] = {}
+        for key in misses:
+            kind, query, param = key
+            if kind == "select" and search_batch is not None:
+                by_threshold.setdefault(param, []).append(key)
+            elif kind == "knn":
+                by_k.setdefault(param, []).append(key)
+            else:
+                results.append((key, _run_query(plane, kind, query, param)))
+        for threshold, keys in by_threshold.items():
+            id_lists = search_batch([key[1] for key in keys], threshold)
+            results.extend(
+                (key, tuple(ids)) for key, ids in zip(keys, id_lists)
+            )
+        for k, keys in by_k.items():
+            pair_lists = knn_select_batch([key[1] for key in keys], plane, k)
+            results.extend(
+                (key, tuple(pairs)) for key, pairs in zip(keys, pair_lists)
+            )
         return results
 
     # -- observability -----------------------------------------------------
@@ -685,20 +637,32 @@ class HammingQueryService:
         return stats
 
 
+def served_plane(index: HammingIndex):
+    """The query plane that answers reads of ``index``.
+
+    The compiled native view (``compile_native()``) when the index has
+    one, else its ``compile()`` result (the weighted engine returns
+    itself with its kernel warm), else the index itself.  Both compile
+    caches are keyed by the index's mutation count, so live
+    insert/delete traffic is never answered by a stale plane.
+    """
+    for name in ("compile_native", "compile"):
+        compile_plane = getattr(index, name, None)
+        if compile_plane is not None:
+            return compile_plane()
+    return index
+
+
 def _run_query(
-    index: HammingIndex, kind: str, query: int, param: int
+    plane: HammingIndex, kind: str, query: int, param: int
 ) -> object:
-    """Execute one deduplicated query against the locked index."""
+    """Execute one deduplicated ``select`` or ``probe`` on ``plane``."""
     if kind == "select":
-        return tuple(index.search(query, param))
-    if kind == "probe":
-        probe = getattr(index, "contains_within", None)
-        if probe is not None:
-            return bool(probe(query, param))
-        return bool(index.search(query, param))
-    if kind == "knn":
-        return tuple(knn_select(query, index, param))
-    raise InvalidParameterError(f"unknown query kind {kind!r}")
+        return tuple(plane.search(query, param))
+    probe = getattr(plane, "contains_within", None)
+    if probe is not None:
+        return bool(probe(query, param))
+    return bool(plane.search(query, param))
 
 
 def _deadline_error(

@@ -98,6 +98,7 @@ from repro.service.server import (
     QUERY_KINDS,
     ServedResult,
     _deadline_error,
+    served_plane,
 )
 from repro.service.stats import ServiceAccounting, ServiceStats
 
@@ -106,31 +107,16 @@ import numpy as np
 _NUMPY_SORT_CUTOVER = 64
 
 
-def _sorted_ids(ids) -> tuple[int, ...]:
-    """Ascending tuple of ``ids`` — numpy-sorted past a small cutover.
-
-    The gather merge is the one cost the sharded read path pays that a
-    single index never does: per-shard hits arrive in shard-local order
-    and must fold into one canonical ascending tuple.  For the large
-    result sets that make sharding worthwhile, sorting an ``int64``
-    buffer is several times faster than ``sorted`` on a Python list and
-    yields the exact same tuple of Python ints (``tolist`` converts
-    back), so cached and differential values are unchanged.
-    """
-    if len(ids) < _NUMPY_SORT_CUTOVER:
-        return tuple(sorted(ids))
-    buffer = np.asarray(ids, dtype=np.int64)
-    buffer.sort()
-    return tuple(buffer.tolist())
-
-
 def _merge_sorted_ids(chunks) -> tuple[int, ...]:
     """Merge per-shard id chunks into one ascending tuple.
 
-    Chunks may be ``int64`` arrays (the dha engine's
-    ``search_batch_arrays`` fast path) or plain id lists (every other
-    engine); both merge through one C-speed concatenate + sort, with
-    Python ints materialized exactly once, after the merge.
+    The gather merge is the one cost the sharded read path pays that a
+    single index never does: per-shard hits arrive in shard-local order
+    and must fold into one canonical ascending tuple.  Chunks may be
+    ``int64`` arrays (the dha engine's ``search_batch_arrays`` fast
+    path) or plain id lists (every other engine); both merge through
+    one C-speed concatenate + sort, with Python ints materialized
+    exactly once, after the merge.
     """
     total = sum(len(chunk) for chunk in chunks)
     if total < _NUMPY_SORT_CUTOVER:
@@ -398,8 +384,7 @@ class ShardedQueryService:
             re-runs the missing tasks inline; a thread pool raises
             :class:`~repro.core.errors.PoolTimeoutError`.
         workers / max_batch / queue_limit / cache_capacity /
-        batch_kernel / default_timeout / linger_seconds / start /
-        trace_batches: as in
+        default_timeout / linger_seconds / start / trace_batches: as in
             :class:`~repro.service.server.HammingQueryService`.
         data_dir: persist the shard set under this (fresh) directory —
             a ``topology.json`` describing the split plus one
@@ -409,9 +394,10 @@ class ShardedQueryService:
             reopen with :meth:`open`.
         fsync: passed to the per-shard stores.
 
-    With ``batch_kernel`` enabled the per-shard flat kernels are
-    compiled eagerly at build (and refresh) time, so the first batched
-    query does not pay ``num_shards`` lazy compiles.
+    Every replica's served plane
+    (:func:`~repro.service.server.served_plane`) is compiled eagerly at
+    build (and refresh) time, so the first query does not pay
+    ``num_shards`` lazy compiles.
     """
 
     #: name of the shard-layout manifest inside ``data_dir``.
@@ -435,7 +421,6 @@ class ShardedQueryService:
         max_batch: int = DEFAULT_MAX_BATCH,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        batch_kernel: bool = True,
         default_timeout: float | None = None,
         linger_seconds: float = 0.0,
         start: bool = True,
@@ -471,7 +456,6 @@ class ShardedQueryService:
             )
         self._index_params = dict(index_params or {})
         self._pruning = pruning
-        self._batch_kernel = batch_kernel
         self._shards = self._build_shards(codes)
         self._stores = None
         self._global_epoch = 0
@@ -709,7 +693,6 @@ class ShardedQueryService:
         max_batch: int = DEFAULT_MAX_BATCH,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        batch_kernel: bool = True,
         default_timeout: float | None = None,
         linger_seconds: float = 0.0,
         start: bool = True,
@@ -756,7 +739,6 @@ class ShardedQueryService:
         self._engine = "dha"  # stores always persist the DHA-Index
         self._index_params = dict(topology.get("index_params") or {})
         self._pruning = pruning
-        self._batch_kernel = batch_kernel
         shards: list[_Shard] = []
         stores = []
         for sid in range(int(topology["num_shards"])):
@@ -767,9 +749,9 @@ class ShardedQueryService:
             replicas = [primary] + [
                 primary.snapshot() for _ in range(self._replication - 1)
             ]
-            if batch_kernel and len(primary):
+            if len(primary):
                 for replica in replicas:
-                    replica.compile()
+                    served_plane(replica)
             shard = _Shard(sid, replicas)
             shard.epoch = store.last_seq
             shards.append(shard)
@@ -804,10 +786,9 @@ class ShardedQueryService:
             replicas = [primary] + [
                 primary.snapshot() for _ in range(self._replication - 1)
             ]
-            if self._batch_kernel and len(shard_codes):
+            if len(shard_codes):
                 for replica in replicas:
-                    if hasattr(replica, "compile"):
-                        replica.compile()
+                    served_plane(replica)
             shards.append(_Shard(sid, replicas))
             self._planner.reset_range(sid, shard_codes.codes)
         return shards
@@ -1215,8 +1196,10 @@ class ShardedQueryService:
         plan may hedge the dispatch away from the first candidate
         (straggler) or skip unavailable replicas (failover); the final
         candidate is always consulted, so injected faults never change
-        results.  Thread-safe: accounting and the outstanding counts
-        take their own locks, never the shard mutex.
+        results.  The operation runs on the replica's
+        :func:`~repro.service.server.served_plane`.  Thread-safe:
+        accounting and the outstanding counts take their own locks,
+        never the shard mutex.
         """
         replicas = shard.replicas
         if len(replicas) == 1:
@@ -1264,7 +1247,7 @@ class ShardedQueryService:
                     replica=ridx,
                     op=op_name,
                 ):
-                    return getattr(replica, op_name)(*args)
+                    return getattr(served_plane(replica), op_name)(*args)
             finally:
                 with self._replica_lock:
                     self._outstanding[shard.sid][ridx] -= 1
@@ -1311,25 +1294,6 @@ class ShardedQueryService:
         return tuple(
             (sid, self._shards[sid].epoch) for sid in plan.contacted
         )
-
-    def _run_select(self, query: int, threshold: int) -> tuple[int, ...]:
-        plan = self._plan_locked(query, threshold)
-        self._record_plan(plan)
-        tasks = [
-            self._task(
-                sid,
-                "search",
-                (query, threshold),
-                ("select", query, threshold),
-            )
-            for sid in plan.contacted
-        ]
-        gathered = self._scatter("select", tasks, shards=len(tasks))
-        with trace_span("shard.gather", kind="select", shards=len(tasks)):
-            matches: list[int] = []
-            for ids in gathered:
-                matches.extend(ids)
-            return _sorted_ids(matches)
 
     def _run_probe(self, query: int, threshold: int) -> bool:
         """Membership probe: OR over every contacted shard.
@@ -1394,15 +1358,6 @@ class ShardedQueryService:
                 matches.sort(key=lambda pair: (pair[1], pair[0]))
                 return tuple(matches[:k])
             threshold = min(threshold + step, cap)
-
-    def _run_query(self, kind: str, query: int, param: int) -> object:
-        if kind == "select":
-            return self._run_select(query, param)
-        if kind == "probe":
-            return self._run_probe(query, param)
-        if kind == "knn":
-            return self._run_knn(query, param)
-        raise InvalidParameterError(f"unknown query kind {kind!r}")
 
     # -- batch execution (worker threads) ----------------------------------
 
@@ -1507,33 +1462,24 @@ class ShardedQueryService:
     ) -> list[tuple[tuple[str, int, int], object]]:
         """Execute the uncached query groups of one micro-batch.
 
-        With the batch kernel enabled, ``select`` misses sharing a
-        threshold are planned together and each shard receives *one*
-        ``search_batch`` over every query routed to it — the
-        scatter-side analogue of the single-index vectorized sweep.
-        Other kinds run query-at-a-time.  Runs under the shard mutex.
+        ``select`` misses sharing a threshold are planned together and
+        each shard receives *one* batched sweep over every query routed
+        to it — the scatter-side analogue of the single-index
+        vectorized sweep.  Probes and kNN scatter query-at-a-time.
+        Runs under the shard mutex.
         """
         results: list[tuple[tuple[str, int, int], object]] = []
-        rest: list[tuple[str, int, int]] = []
-        if self._batch_kernel:
-            by_threshold: dict[int, list[tuple[str, int, int]]] = {}
-            for key in misses:
-                if key[0] == "select":
-                    by_threshold.setdefault(key[2], []).append(key)
-                else:
-                    rest.append(key)
-            for threshold, keys in by_threshold.items():
-                if len(keys) < 2:
-                    rest.extend(keys)
-                    continue
-                results.extend(
-                    self._run_select_batch(keys, threshold)
-                )
-        else:
-            rest = misses
-        results.extend(
-            (key, self._run_query(*key)) for key in rest
-        )
+        by_threshold: dict[int, list[tuple[str, int, int]]] = {}
+        for key in misses:
+            kind, query, param = key
+            if kind == "select":
+                by_threshold.setdefault(param, []).append(key)
+            elif kind == "probe":
+                results.append((key, self._run_probe(query, param)))
+            else:
+                results.append((key, self._run_knn(query, param)))
+        for threshold, keys in by_threshold.items():
+            results.extend(self._run_select_batch(keys, threshold))
         return results
 
     def _run_select_batch(
@@ -1546,17 +1492,32 @@ class ShardedQueryService:
         for plan in plan_list:
             self._record_plan(plan)
         gathered: list[list] = [[] for _ in keys]
-        shard_positions = sorted(by_shard.items())
         # dha shards hand back int64 arrays so the cross-shard merge
-        # stays numpy end-to-end; other engines return id lists and
-        # take the same merge path via asarray.
-        batch_op = (
-            "search_batch_arrays"
-            if self._engine == "dha"
-            else "search_batch"
-        )
+        # stays numpy end-to-end; other batched engines return id lists
+        # and take the same merge path via asarray.  Engines without a
+        # batched sweep get one ``search`` task per routed query.
+        if self._engine == "dha":
+            batch_op = "search_batch_arrays"
+        elif get_engine(self._engine).batched:
+            batch_op = "search_batch"
+        else:
+            batch_op = None
         tasks = []
-        for sid, positions in shard_positions:
+        slots: list[list[int]] = []
+        for sid, positions in sorted(by_shard.items()):
+            if batch_op is None:
+                for position in positions:
+                    query = keys[position][1]
+                    tasks.append(
+                        self._task(
+                            sid,
+                            "search",
+                            (query, threshold),
+                            ("select", query, threshold),
+                        )
+                    )
+                    slots.append([position])
+                continue
             queries = [keys[p][1] for p in positions]
             tasks.append(
                 self._task(
@@ -1571,6 +1532,7 @@ class ShardedQueryService:
                     ),
                 )
             )
+            slots.append(positions)
         values = self._scatter(
             "select_batch",
             tasks,
@@ -1580,9 +1542,8 @@ class ShardedQueryService:
         with trace_span(
             "shard.gather", kind="select_batch", shards=len(tasks)
         ):
-            for (sid, positions), id_lists in zip(
-                shard_positions, values
-            ):
+            for positions, value in zip(slots, values):
+                id_lists = value if batch_op is not None else [value]
                 for position, ids in zip(positions, id_lists):
                     gathered[position].append(ids)
         return [

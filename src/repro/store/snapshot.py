@@ -345,9 +345,14 @@ class LazySnapshotIndex(DynamicHAIndex):
         if self._lazy_ready:
             return
         flat = self._lazy_flat
+        # The first mutation materializes mid-call, after it has been
+        # counted; ``__setstate__`` would reset the count, leaving the
+        # pre-mutation kernel cached as current.
+        mutations = self._mutations
         DynamicHAIndex.__setstate__(
             self, _wire_state(self._lazy_view, flat)
         )
+        self._mutations = mutations
         self._compiled = flat
         self._compiled_mutations = 0
         self._compiled_tree_version = 0

@@ -168,7 +168,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "# TYPE repro_search_total counter" in out
         assert "service_batch_size_bucket" in out
-        assert 'repro_search_total{engine="flat"}' in out
+        # Served reads go through the DHA's native view, which reports
+        # as the native plane on either backend tier.
+        assert 'repro_search_total{engine="native"}' in out
         # The command must clean up the process-wide registry.
         assert not metrics_enabled()
         assert registry().snapshot() == {}

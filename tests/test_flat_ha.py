@@ -340,8 +340,7 @@ class TestJoins:
 
 
 class TestServiceKernel:
-    @pytest.mark.parametrize("batch_kernel", [True, False])
-    def test_batched_service_matches_oracle(self, batch_kernel):
+    def test_batched_service_matches_oracle(self):
         from repro.service import HammingQueryService
 
         codes = _clustered(800, 32, seed=13)
@@ -352,7 +351,6 @@ class TestServiceKernel:
             max_batch=16,
             queue_limit=len(queries) + 8,
             cache_capacity=64,
-            batch_kernel=batch_kernel,
         )
         with service:
             tickets = [

@@ -317,7 +317,7 @@ def test_single_service_serves_mih() -> None:
     codes = CodeSet([rng.getrandbits(24) for _ in range(200)], 24)
     index = MIHIndex.build(codes)
     with HammingQueryService(
-        index, workers=2, batch_kernel=True, queue_limit=64
+        index, workers=2, queue_limit=64
     ) as service:
         query = codes[3]
         ticket = service.submit("select", query, 3)

@@ -1,8 +1,7 @@
 """Unit tests for the tiered native H-Search backend plane.
 
 :mod:`repro.core.native` compiles the flat kernel's level-major sweep
-to a real machine-code backend (numba when importable, a
-runtime-compiled C library otherwise) with the numpy sweeps as the
+to a runtime-compiled C library with the numpy sweeps as the
 always-available fallback.  These tests pin the selection machinery
 (``REPRO_NATIVE``, :func:`force_backend`), the lifecycle corners
 (pickling, rebuffered clones, tracing delegation, multi-word codes),
@@ -68,7 +67,7 @@ class TestBackendSelection:
                 pass  # pragma: no cover
 
     def test_active_backend_is_a_valid_tier(self):
-        assert native.active_backend() in ("numba", "cc", "numpy")
+        assert native.active_backend() in ("cc", "numpy")
 
     def test_registry_resolves_native_and_aliases(self):
         assert get_engine("native").name == "native"
@@ -98,7 +97,7 @@ class TestNativeIndexLifecycle:
         before = nat.search(query, 3)
         ops = nat.last_search_ops
         clone = pickle.loads(pickle.dumps(nat))
-        # ctypes pointers / jitted dispatchers never cross the wire;
+        # ctypes pointers never cross the wire;
         # the receiver rebuilds its own state on first query.
         assert "_native_state" not in clone.__dict__
         assert clone.search(query, 3) == before
@@ -121,6 +120,19 @@ class TestNativeIndexLifecycle:
             assert second._native_state is first._native_state
         assert 9001 in second.search(new_code, 0)
         assert 9001 not in first.search(new_code, 0)
+
+    def test_native_view_shares_the_flat_kernel(self):
+        dha = DynamicHAIndex.build(_corpus(15))
+        flat = dha.compile()
+        nat = dha.compile_native()
+        # One flatten serves both planes: the view shares every array.
+        assert nat._bits is flat._bits
+        assert nat._ids_flat is flat._ids_flat
+        assert dha.compile_native() is nat
+        nat.search(_corpus(15).codes[0], 2)  # bind backend state
+        clone = pickle.loads(pickle.dumps(flat))
+        assert "_native_view" not in clone.__dict__
+        assert "_native_state" not in clone.__dict__
 
     def test_tracing_delegates_with_exact_spans(self):
         from repro.obs import last_trace, render_span_tree, trace
@@ -215,16 +227,14 @@ class TestServiceFusing:
         service.close()
 
     def test_native_kernel_plane_survives_live_mutations(self):
-        """``kernel="native"`` serves a mutable DHA through the
-        compiled plane, and the mutation-count cache keying keeps the
-        answers current across live inserts and deletes."""
+        """The service reads a mutable DHA through its native view,
+        and the mutation-count cache keying keeps the answers current
+        across live inserts and deletes."""
         from repro.service import HammingQueryService
 
         codes = _corpus(12)
         index = DynamicHAIndex.build(codes)
-        service = HammingQueryService(
-            index, kernel="native", cache_capacity=0, start=False
-        )
+        service = HammingQueryService(index, cache_capacity=0, start=False)
         rng = random.Random(13)
         queries = [rng.getrandbits(WIDTH) for _ in range(3)]
         misses = [("select", query, 3) for query in queries]
@@ -245,11 +255,3 @@ class TestServiceFusing:
         service.delete(queries[0], 9001)
         assert dict(service._run_misses(index, misses)) == before
         service.close()
-
-    def test_service_rejects_unknown_kernel(self):
-        from repro.core.errors import InvalidParameterError
-        from repro.service import HammingQueryService
-
-        index = DynamicHAIndex.build(_corpus(14))
-        with pytest.raises(InvalidParameterError):
-            HammingQueryService(index, kernel="jit", start=False)

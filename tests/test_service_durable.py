@@ -93,6 +93,24 @@ class TestDurableQueryService:
             assert tuple_id in warm.select(code, 0).value
         warm.close()
 
+    def test_batched_reads_see_single_replayed_insert(self, tmp_path):
+        codes = _codes(120)
+        durable = HammingQueryService(
+            DynamicHAIndex.build(codes), data_dir=tmp_path / "d", workers=1
+        )
+        code, tuple_id = _mutations(1)[0]
+        durable.insert(code, tuple_id)
+        durable.close(snapshot=False)
+        # Replaying the one WAL record decodes the node graph mid-insert;
+        # two selects queued before the worker starts share one batch.
+        warm = HammingQueryService.open(
+            tmp_path / "d", workers=1, start=False
+        )
+        tickets = [warm.submit("select", probe, 0) for probe in (code, code ^ 1)]
+        warm.start()
+        assert tuple_id in tickets[0].result().value
+        warm.close()
+
     def test_save_snapshot_empties_replay(self, tmp_path):
         durable = HammingQueryService(
             DynamicHAIndex.build(_codes(100)),

@@ -245,6 +245,36 @@ class TestLazySnapshotIndex:
         lazy.delete(0xBEEF42, 7001)
         assert 7001 not in lazy.search(0xBEEF42, 0)
 
+    def test_native_view_stays_lazy(self, built_index, tmp_path):
+        index, codes = built_index
+        path = tmp_path / "snap.ha"
+        write_snapshot(path, index, last_seq=0)
+        lazy = lazy_decode(read_snapshot(path))
+        plane = lazy.compile_native()
+        # The view shares the mapped kernel's arrays: no second flatten
+        # and no node-graph decode.
+        assert plane._ids_flat is lazy.compile()._ids_flat
+        probe = codes.codes[2]
+        assert sorted(plane.search_batch([probe], 2)[0]) == sorted(
+            index.search(probe, 2)
+        )
+        assert plane.contains_within(probe, 0)
+        assert not lazy.materialized
+
+    def test_first_insert_invalidates_mapped_kernel(
+        self, built_index, tmp_path
+    ):
+        # The insert that decodes the node graph must still be counted,
+        # or the pre-insert mapped kernel stays cached as current.
+        index, _ = built_index
+        path = tmp_path / "snap.ha"
+        write_snapshot(path, index, last_seq=0)
+        lazy = lazy_decode(read_snapshot(path))
+        lazy.insert(0xBEEF42, 7001)
+        assert lazy.mutation_count == 1
+        assert 7001 in lazy.search_batch([0xBEEF42], 0)[0]
+        assert 7001 in lazy.compile_native().search(0xBEEF42, 0)
+
     def test_copies_come_back_plain(self, built_index, tmp_path):
         index, codes = built_index
         path = tmp_path / "snap.ha"
