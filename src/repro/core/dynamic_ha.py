@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Iterable, Sequence
 
 from repro.core.bitvector import CodeSet
@@ -249,20 +250,23 @@ class DynamicHAIndex(HammingIndex):
     def _search_nodes(self, query: int, threshold: int) -> list[_DhaNode]:
         """Qualifying leaves of the pattern DAG, each exactly once.
 
-        Breadth-first over the node levels; the per-query epoch stamp is
-        the paper's per-node visited flag, so a node reachable through
-        several qualifying parents is expanded once.
+        Level-synchronous breadth-first walk: a level examines the
+        children of the previous level's qualifying, uncovered nodes.
+        The per-query epoch stamp is the paper's per-node visited flag,
+        so a node reachable through several qualifying parents is
+        examined once.  Under ``tracing()`` each level becomes one
+        ``h_search.level`` span and the insert-buffer charge one
+        ``h_search.buffer`` span, so the trace's ops sum to
+        ``last_search_ops``.
         """
-        if tracing():
-            return self._search_nodes_traced(query, threshold)
         DynamicHAIndex._search_epoch += 1
         epoch = DynamicHAIndex._search_epoch
         length = self._code_length
-        queue: list[_DhaNode] = []
+        traced = tracing()
+        started = perf_counter() if traced else 0.0
         leaves: list[_DhaNode] = []
-        ops = 0
+        level: list[_DhaNode] = []
         for node in self._top:
-            ops += 1
             distance = ((node.bits ^ query) & node.mask).bit_count()
             if distance <= threshold:
                 node.epoch = epoch
@@ -274,107 +278,49 @@ class DynamicHAIndex(HammingIndex):
                     # to the flat kernel's uniform per-level test.
                     self._collect_leaves(node, epoch, leaves)
                 else:
-                    queue.append(node)
-        head = 0
-        while head < len(queue):
-            node = queue[head]
-            head += 1
-            children = node.children
-            if not children:
-                leaves.append(node)
-                continue
-            for child in children:
-                if child.epoch != epoch:
-                    ops += 1
-                    distance = (
-                        (child.bits ^ query) & child.mask
-                    ).bit_count()
-                    if distance <= threshold:
-                        child.epoch = epoch
-                        if (
-                            distance + length - child.mask.bit_count()
-                            <= threshold
-                        ):
-                            # Even if every uncovered bit differs, the
-                            # whole subtree qualifies: collect its
-                            # leaves without further distance tests.
-                            self._collect_leaves(child, epoch, leaves)
-                        else:
-                            queue.append(child)
-        self.last_search_ops = ops + len(self._buffer)
-        return leaves
-
-    def _search_nodes_traced(
-        self, query: int, threshold: int
-    ) -> list[_DhaNode]:
-        """`_search_nodes` with per-level span attribution.
-
-        Level-synchronous replay of the same breadth-first walk (a FIFO
-        queue visits nodes in level order, so examination order, epoch
-        stamping and therefore the op count are identical).  Each BFS
-        level becomes one ``h_search.level`` span and the insert-buffer
-        charge one ``h_search.buffer`` span, so the trace's ops sum to
-        ``last_search_ops`` exactly.
-        """
-        DynamicHAIndex._search_epoch += 1
-        epoch = DynamicHAIndex._search_epoch
-        length = self._code_length
-        leaves: list[_DhaNode] = []
-        total_ops = 0
-        expanded: list[_DhaNode] = []
-        with trace_span("h_search.level", depth=0) as span:
-            ops = 0
-            for node in self._top:
-                ops += 1
-                distance = (
-                    (node.bits ^ query) & node.mask
-                ).bit_count()
-                if distance <= threshold:
-                    node.epoch = epoch
-                    if (
-                        distance + length - node.mask.bit_count()
-                        <= threshold
-                    ):
-                        # Same top-level cover shortcut as the untraced
-                        # walk; a covered top never joins the frontier.
-                        self._collect_leaves(node, epoch, leaves)
-                    elif node.children:
-                        expanded.append(node)
-                    else:
-                        leaves.append(node)
-            span.add_ops(ops)
-            span.annotate(examined=ops, expanded=len(expanded))
-            total_ops += ops
-        depth = 1
-        while expanded:
-            candidates = [
-                child for node in expanded for child in node.children
-            ]
-            with trace_span("h_search.level", depth=depth) as span:
-                ops = 0
-                expanded = []
-                for child in candidates:
-                    if child.epoch == epoch:
-                        continue
-                    ops += 1
-                    distance = (
-                        (child.bits ^ query) & child.mask
-                    ).bit_count()
-                    if distance <= threshold:
-                        child.epoch = epoch
-                        if (
-                            distance + length - child.mask.bit_count()
-                            <= threshold
-                        ):
-                            self._collect_leaves(child, epoch, leaves)
-                        else:
-                            expanded.append(child)
-                span.add_ops(ops)
-                span.annotate(examined=ops, expanded=len(expanded))
-                total_ops += ops
+                    level.append(node)
+        examined = ops = len(self._top)
+        depth = 0
+        while True:
+            if traced:
+                record_span(
+                    "h_search.level", perf_counter() - started,
+                    ops=examined, depth=depth, examined=examined,
+                    expanded=len(level),
+                )
+                started = perf_counter()
+            if not level:
+                break
             depth += 1
-        record_span("h_search.buffer", 0.0, ops=len(self._buffer))
-        self.last_search_ops = total_ops + len(self._buffer)
+            examined = 0
+            parents, level = level, []
+            for node in parents:
+                children = node.children
+                if not children:
+                    leaves.append(node)
+                    continue
+                for child in children:
+                    if child.epoch != epoch:
+                        examined += 1
+                        distance = (
+                            (child.bits ^ query) & child.mask
+                        ).bit_count()
+                        if distance <= threshold:
+                            child.epoch = epoch
+                            if (
+                                distance + length - child.mask.bit_count()
+                                <= threshold
+                            ):
+                                # Even if every uncovered bit differs,
+                                # the whole subtree qualifies: collect
+                                # its leaves without further tests.
+                                self._collect_leaves(child, epoch, leaves)
+                            else:
+                                level.append(child)
+            ops += examined
+        if traced:
+            record_span("h_search.buffer", 0.0, ops=len(self._buffer))
+        self.last_search_ops = ops + len(self._buffer)
         return leaves
 
     @staticmethod

@@ -5,14 +5,24 @@ pattern tree flattened into level-major numpy arrays — per-node
 ``bits``/``mask`` uint64 word matrices (plus 1-D fast-path columns for
 codes up to 64 bits), contiguous child slot ranges, and a leaf table
 laid out in DFS order so every node's leaf descendants form one
-contiguous range.  H-Search (Algorithm 3) then runs as a vectorized
-frontier sweep: each BFS level is a single XOR + popcount over the whole
-live frontier with boolean-mask pruning, instead of one Python-level
-distance computation per node.  The subtree-qualifies shortcut (a node
-whose partial distance plus uncovered bits is within the threshold
-contributes its whole leaf range without further distance tests) and the
-buffered-insert side table are preserved, so results and
-``last_search_ops`` accounting match the node walk exactly.
+contiguous range.
+
+Every read runs through one sweep, :meth:`FlatHAIndex._sweep_batch`:
+H-Search (Algorithm 3) for a batch of queries as a vectorized frontier
+loop, each BFS level a single XOR + popcount over the live
+``(node, query)`` pairs with boolean-mask pruning.  The
+subtree-qualifies shortcut (a node whose partial distance plus
+uncovered bits is within the threshold contributes its whole leaf range
+without further distance tests) is preserved, so ``last_search_ops``
+matches the node walk exactly.  Four emission modes serve every read:
+tuple ids (``search``), leaf positions (``search_codes``,
+``search_with_distances``), frequency counts (``count_within``) and
+existence (``contains_within``, which stops at its first hit).  The
+public reads are written once on top of it — a single query is a batch
+of one, cut from the batch result by offsets — and add the
+buffered-insert side table, spans and metrics.  The native plane
+(:mod:`repro.core.native_ha`) overrides only the primitive; this numpy
+loop is its fallback tier.
 
 The kernel is immutable: it snapshots the source index (including its
 insert buffer) at compile time, and ``DynamicHAIndex.compile`` caches it
@@ -20,26 +30,19 @@ keyed by ``mutation_count`` so a stale kernel is never consulted after
 H-Insert/H-Delete.  It contains only numpy arrays and plain ints, which
 makes it cheap to pickle — the property the parallel join path relies on
 to ship the probe kernel into a process pool.
-
-On top of the single-query sweep, :meth:`search_batch` shares one
-frontier pass across a whole micro-batch: the live frontier is a flat
-list of (node, query) pairs, so each level is one distance pass over
-exactly the pairs every per-query walk would examine, with the per-level
-dispatch overhead amortized across the batch.  This is what lets the
-online service execute coalesced micro-batches in a handful of numpy
-calls per index level.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import accumulate
+from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from time import perf_counter
-
 from repro.core.bitvector import popcount64
-from repro.core.errors import IndexStateError
+from repro.core.errors import IndexStateError, InvalidParameterError
 from repro.core.index_base import HammingIndex, IndexStats
 from repro.obs import note_search
 from repro.obs.trace import record_span, trace_span, tracing
@@ -62,6 +65,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dynamic_ha import DynamicHAIndex
 
 _WORD_MASK = (1 << 64) - 1
+
+#: Emission modes of :meth:`FlatHAIndex._sweep_batch`; the compiled
+#: sweep (:mod:`repro.core.native`) uses the same numbers.
+MODE_IDS, MODE_POSITIONS, MODE_COUNT, MODE_EXISTS = range(4)
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
 
 def _pack_column(values: Sequence[int], words: int) -> np.ndarray:
@@ -439,101 +449,146 @@ class FlatHAIndex(HammingIndex):
             offsets[i + 1] - offsets[i] for i in range(len(offsets) - 1)
         ]
 
-    # -- query packing -----------------------------------------------------
+    # -- the one sweep -----------------------------------------------------
 
-    def _query_words(self, query: int) -> np.ndarray:
-        return np.array(
-            [(query >> (word * 64)) & _WORD_MASK
-             for word in range(self._words)],
-            dtype=np.uint64,
-        )
+    def _pack(self, queries: Sequence[int]) -> np.ndarray:
+        """Validated queries as a (batch, words) ``uint64`` matrix."""
+        if self._words == 1:
+            return np.array(queries, dtype=np.uint64).reshape(-1, 1)
+        return _pack_column(queries, self._words)
 
-    def _buffer_distances(self, qwords: np.ndarray) -> np.ndarray:
-        """Exact distances of the buffered codes to one packed query."""
-        return popcount64(self._buf_words ^ qwords).sum(
-            axis=1, dtype=np.int64
-        )
+    def _sweep_batch(
+        self, queries: Sequence[int], threshold: int, mode: int
+    ) -> tuple[np.ndarray, list[int], int]:
+        """H-Search (Algorithm 3) over the tree for a batch of queries.
 
-    # -- the single-query frontier sweep -----------------------------------
+        The one traversal under every read.  The live frontier is a pair
+        list (node slot, query index): each BFS level is one XOR +
+        popcount pass over exactly the pairs every per-query node walk
+        would examine, split by boolean masks into *taken* nodes
+        (qualifying leaves and subtree-qualifying internals, whose
+        contiguous leaf ranges qualify wholesale) and *expanded* ones
+        (qualifying internals, whose contiguous child ranges form the
+        next level).  A batch of one keeps no query column, and its
+        existence probe stops at the level of its first hit.
 
-    def _sweep(
-        self, qwords: np.ndarray, threshold: int
-    ) -> tuple[np.ndarray, int]:
-        """One vectorized H-Search; returns matched node slots + ops.
-
-        Each iteration handles one BFS level: partial distances of the
-        whole frontier in one XOR/popcount pass, then boolean-mask
-        split into *collect* (qualifying leaves and subtree-qualifying
-        internals, whose contiguous leaf ranges are taken wholesale)
-        and *expand* (qualifying internals whose contiguous child
-        ranges form the next frontier).  ``ops`` counts exactly the
-        distance computations the node walk performs.
+        ``queries`` are validated ints and ``threshold`` is clamped to
+        the code length.  ``mode`` picks what a taken node contributes:
+        its tuple ids (:data:`MODE_IDS`), its leaf positions
+        (:data:`MODE_POSITIONS`), its frequency (:data:`MODE_COUNT`) or
+        a hit (:data:`MODE_EXISTS`).  Returns ``(values, counts, ops)``:
+        the emitted values grouped by query in visit order, one count
+        per query (values emitted, frequency sum, or 0/1), and the
+        distance computations, which equal the node walk's.  The insert
+        buffer is left to the caller.
         """
-        threshold = min(threshold, self._code_length)
-        taken_parts: list[np.ndarray] = []
+        batch = len(queries)
+        single = batch == 1
+        qmat = self._pack(queries)
+        top = self._top_slots
+        nodes = top if single else np.tile(top, batch)
+        owners = None if single else np.repeat(
+            np.arange(batch, dtype=np.int64), top.size
+        )
+        taken_nodes: list[np.ndarray] = []
+        taken_owners: list[np.ndarray] = []
         ops = 0
-        frontier = self._top_slots
         simple = self._cover_is_collect
         one_word = self._words == 1
-        traced = tracing()
+        traced = mode <= MODE_POSITIONS and tracing()
         depth = 0
         started = 0.0
         if one_word:
             bits1, masks1, unc8 = self._bits1, self._masks1, self._unc8
-            query64 = qwords[0]
+            qcol = qmat[0, 0] if single else qmat[:, 0]
             leaf_start = self._leaf_level_start
-        while frontier.size:
-            size = int(frontier.size)
+        while nodes.size:
+            size = int(nodes.size)
             ops += size
             if traced:
                 started = perf_counter()
+            terminal = one_word and nodes[0] >= leaf_start
             if one_word:
-                if frontier[0] >= leaf_start:
+                xor = bits1.take(nodes, mode="clip")
+                query = qcol if single else qcol.take(owners, mode="clip")
+                np.bitwise_xor(xor, query, out=xor)
+                if terminal:
                     # Terminal all-leaf level: distances are exact (no
                     # masking), and there is nothing left to expand.
-                    xor = bits1.take(frontier, mode="clip")
-                    np.bitwise_xor(xor, query64, out=xor)
-                    taken = frontier[popcount64(xor) <= threshold]
-                    if taken.size:
-                        taken_parts.append(taken)
-                    if traced:
-                        _note_level(depth, size, 0, started)
-                    break
-                xor = bits1.take(frontier, mode="clip")
-                np.bitwise_xor(xor, query64, out=xor)
-                np.bitwise_and(xor, masks1.take(frontier, mode="clip"), out=xor)
-                dist = popcount64(xor)
-                cover = dist + unc8.take(frontier, mode="clip") <= threshold
+                    dist = popcount64(xor)
+                    take = dist <= threshold
+                else:
+                    np.bitwise_and(
+                        xor, masks1.take(nodes, mode="clip"), out=xor
+                    )
+                    dist = popcount64(xor)
+                    take = dist + unc8.take(nodes, mode="clip") <= threshold
             else:
-                xor = self._bits[frontier] ^ qwords
-                dist = popcount64(xor & self._masks[frontier]).sum(
+                xor = self._bits[nodes] ^ (qmat if single else qmat[owners])
+                dist = popcount64(xor & self._masks[nodes]).sum(
                     axis=1, dtype=np.int64
                 )
-                cover = dist + self._uncovered[frontier] <= threshold
-            if not simple:
-                cover |= (dist <= threshold) & self._is_leaf[frontier]
-            taken = frontier[cover]
+                take = dist + self._uncovered[nodes] <= threshold
+            if not simple and not terminal:
+                take |= (dist <= threshold) & self._is_leaf[nodes]
+            taken = nodes[take]
             if taken.size:
-                taken_parts.append(taken)
-            expand = frontier[(dist <= threshold) & ~cover]
-            if traced:
-                _note_level(depth, size, int(expand.size), started)
-                depth += 1
-            if not expand.size:
+                taken_nodes.append(taken)
+                if not single:
+                    taken_owners.append(owners[take])
+                elif mode == MODE_EXISTS:
+                    break
+            if terminal:
+                if traced:
+                    _note_level(depth, size, 0, started)
                 break
-            frontier = _expand_ranges(
-                self._child_first.take(expand, mode="clip"),
-                self._child_count.take(expand, mode="clip")
+            expand = (dist <= threshold) & ~take
+            parents = nodes[expand]
+            if traced:
+                _note_level(depth, size, int(parents.size), started)
+                depth += 1
+            if not parents.size:
+                break
+            spans = self._child_count.take(parents, mode="clip")
+            nodes = _expand_ranges(
+                self._child_first.take(parents, mode="clip"), spans
             )
-        if taken_parts:
-            return np.concatenate(taken_parts), ops
-        return np.empty(0, dtype=np.int64), ops
+            if not single:
+                owners = np.repeat(owners[expand], spans)
+        if single and mode == MODE_EXISTS:
+            return _EMPTY, [1 if taken_nodes else 0], ops
+        taken = np.concatenate(taken_nodes) if taken_nodes else _EMPTY
+        if not single and taken_owners:
+            # Levels interleave queries; a stable sort by query keeps
+            # each query's visit order.
+            owners = np.concatenate(taken_owners)
+            order = np.argsort(owners, kind="stable")
+            taken, owners = taken[order], owners[order]
+        else:
+            owners = _EMPTY
+        if mode == MODE_IDS:
+            lo = self._id_offsets[self._leaf_lo[taken]]
+            per_node = self._id_offsets[self._leaf_hi[taken]] - lo
+        elif mode == MODE_POSITIONS:
+            lo = self._leaf_lo[taken]
+            per_node = self._leaf_hi[taken] - lo
+        elif mode == MODE_COUNT:
+            per_node = self._frequency[taken]
+        else:
+            per_node = np.ones_like(taken)
+        values = _EMPTY if mode >= MODE_COUNT else _expand_ranges(lo, per_node)
+        if mode == MODE_IDS:
+            values = self._ids_flat[values]
+        if not single:
+            counts = np.bincount(owners, per_node, batch).astype(np.int64)
+            if mode == MODE_EXISTS:
+                counts = np.minimum(counts, 1)
+            return values, counts.tolist(), ops
+        if mode == MODE_COUNT:
+            return values, [int(per_node.sum())], ops
+        return values, [values.size], ops
 
-    def _range_ids(self, taken: np.ndarray) -> np.ndarray:
-        """Tuple ids stored under the leaf ranges of ``taken`` nodes."""
-        id_lo = self._id_offsets[self._leaf_lo[taken]]
-        id_hi = self._id_offsets[self._leaf_hi[taken]]
-        return self._ids_flat[_expand_ranges(id_lo, id_hi - id_lo)]
+    # -- the shared front --------------------------------------------------
 
     def _require_ids(self) -> None:
         if not self._keep_ids:
@@ -541,325 +596,207 @@ class FlatHAIndex(HammingIndex):
                 "index compiled with keep_ids=False; use search_codes()"
             )
 
+    def _front(
+        self, queries: Sequence[int], threshold: int
+    ) -> tuple[list[int], int]:
+        """Queries and threshold as validated ints.
+
+        Every read enters here, so a non-integer query or threshold
+        raises :class:`InvalidParameterError` on every tier before any
+        sweep runs.
+        """
+        try:
+            threshold = operator.index(threshold)
+            queries = [operator.index(query) for query in queries]
+        except TypeError:
+            raise InvalidParameterError(
+                "queries and threshold must be integers"
+            ) from None
+        for query in queries:
+            self._check_query(query, threshold)
+        return queries, threshold
+
+    def _buffer_distances(self, qmat: np.ndarray) -> np.ndarray:
+        """(buffered, batch) exact distances of the insert buffer."""
+        return popcount64(
+            self._buf_words[:, None, :] ^ qmat[None, :, :]
+        ).sum(axis=2, dtype=np.int64)
+
+    def _select(
+        self, queries: Sequence[int], threshold: int, mode: int,
+        batched: bool,
+    ) -> tuple[list[int], int, np.ndarray, list[int]]:
+        """Sweep a select-style read; ``(queries, threshold, values, bounds)``.
+
+        Opens the ``h_search`` span (with ``batch=`` for the batch
+        forms), charges ``last_search_ops`` with the sweep plus one
+        comparison per buffered code per query, and records the search
+        metrics.  Query ``i``'s tree matches are
+        ``values[bounds[i]:bounds[i + 1]]``.
+        """
+        queries, threshold = self._front(queries, threshold)
+        batch = len(queries)
+        if not batch:
+            return queries, threshold, _EMPTY, [0]
+        extra = {"batch": batch} if batched else {}
+        length = self._code_length
+        with trace_span(
+            "h_search", engine=self.ENGINE_LABEL, **extra,
+            threshold=threshold,
+        ):
+            values, counts, ops = self._sweep_batch(
+                queries, threshold if threshold < length else length, mode
+            )
+            buffered = len(self._buf_codes) * batch
+            self.last_search_ops = ops + buffered
+            record_span("h_search.buffer", 0.0, ops=buffered)
+        note_search(self.ENGINE_LABEL, self.last_search_ops, queries=batch)
+        return queries, threshold, values, [0, *accumulate(counts)]
+
+    def _ids(
+        self, queries: Sequence[int], threshold: int, batched: bool
+    ) -> list[np.ndarray]:
+        """Per-query ``int64`` ids: tree matches, then buffered ones."""
+        self._require_ids()
+        queries, threshold, ids, bounds = self._select(
+            queries, threshold, MODE_IDS, batched
+        )
+        chunks = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        if self._buf_ids.size:
+            near = self._buffer_distances(self._pack(queries)) <= threshold
+            chunks = [
+                np.concatenate([chunk, self._buf_ids[near[:, column]]])
+                for column, chunk in enumerate(chunks)
+            ]
+        return chunks
+
+    def _codes(
+        self, queries: Sequence[int], threshold: int, batched: bool
+    ) -> list[list[int]]:
+        """Per-query distinct qualifying codes (tree, then buffer)."""
+        queries, threshold, positions, bounds = self._select(
+            queries, threshold, MODE_POSITIONS, batched
+        )
+        leaf_codes = self._leaf_codes
+        positions = positions.tolist()
+        results = [
+            [leaf_codes[i] for i in positions[lo:hi]]
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        if self._buf_ids.size:
+            near = self._buffer_distances(self._pack(queries)) <= threshold
+            for column, codes in enumerate(results):
+                buffered = {
+                    self._buf_codes[i]
+                    for i in np.flatnonzero(near[:, column]).tolist()
+                }
+                codes.extend(buffered - set(codes))
+        return results
+
+    def _pairs(
+        self, queries: Sequence[int], threshold: int, batched: bool
+    ) -> list[list[tuple[int, int]]]:
+        """Per-query (tuple id, exact distance) pairs (tree, then buffer)."""
+        self._require_ids()
+        queries, threshold, positions, bounds = self._select(
+            queries, threshold, MODE_POSITIONS, batched
+        )
+        qmat = self._pack(queries)
+        batch = len(queries)
+        if not positions.size:
+            results: list[list[tuple[int, int]]] = [[] for _ in queries]
+        else:
+            per_position = qmat
+            if batch > 1:
+                per_position = qmat[
+                    np.repeat(np.arange(batch), np.diff(bounds))
+                ]
+            dists = popcount64(
+                self._leaf_words[positions] ^ per_position
+            ).sum(axis=1, dtype=np.int64)
+            id_lo = self._id_offsets[positions]
+            counts = self._id_offsets[positions + 1] - id_lo
+            pairs = list(
+                zip(
+                    self._ids_flat[_expand_ranges(id_lo, counts)].tolist(),
+                    np.repeat(dists, counts).tolist(),
+                )
+            )
+            if batch == 1:
+                results = [pairs]
+            else:
+                # Query i's pairs end where its last position's ids end.
+                cut = np.concatenate(([0], np.cumsum(counts)))[bounds]
+                cut = cut.tolist()
+                results = [pairs[lo:hi] for lo, hi in zip(cut, cut[1:])]
+        if self._buf_ids.size:
+            buf_dist = self._buffer_distances(qmat)
+            for column, pairs in enumerate(results):
+                near = np.flatnonzero(buf_dist[:, column] <= threshold)
+                pairs.extend(
+                    zip(
+                        self._buf_ids[near].tolist(),
+                        buf_dist[near, column].tolist(),
+                    )
+                )
+        return results
+
+    def _tally(self, query: int, threshold: int, mode: int) -> int:
+        """One query's frequency count or existence, buffer included.
+
+        Leaves ``last_search_ops``, spans and search metrics alone.
+        """
+        queries, threshold = self._front((query,), threshold)
+        near = 0
+        if self._buf_ids.size:
+            near = int(
+                (self._buffer_distances(self._pack(queries)) <= threshold).sum()
+            )
+            if near and mode == MODE_EXISTS:
+                return near
+        length = self._code_length
+        _, counts, _ = self._sweep_batch(
+            queries, threshold if threshold < length else length, mode
+        )
+        return near + counts[0]
+
     # -- queries -----------------------------------------------------------
 
     def search(self, query: int, threshold: int) -> list[int]:
         """Exact Hamming-select; same answer multiset as the node walk."""
-        self._require_ids()
-        self._check_query(query, threshold)
-        with trace_span("h_search", engine=self.ENGINE_LABEL, threshold=threshold):
-            qwords = self._query_words(query)
-            taken, ops = self._sweep(qwords, threshold)
-            self.last_search_ops = ops + len(self._buf_codes)
-            record_span("h_search.buffer", 0.0, ops=len(self._buf_codes))
-            results = self._range_ids(taken).tolist()
-            if self._buf_ids.size:
-                near = self._buffer_distances(qwords) <= threshold
-                results.extend(self._buf_ids[near].tolist())
-        note_search(self.ENGINE_LABEL, self.last_search_ops)
-        return results
+        return self._ids((query,), threshold, False)[0].tolist()
 
     def search_codes(self, query: int, threshold: int) -> list[int]:
         """Distinct qualifying codes (Option B of the MapReduce join)."""
-        self._check_query(query, threshold)
-        with trace_span("h_search", engine=self.ENGINE_LABEL, threshold=threshold):
-            qwords = self._query_words(query)
-            taken, ops = self._sweep(qwords, threshold)
-            self.last_search_ops = ops + len(self._buf_codes)
-            record_span("h_search.buffer", 0.0, ops=len(self._buf_codes))
-            lo = self._leaf_lo[taken]
-            positions = _expand_ranges(lo, self._leaf_hi[taken] - lo)
-            codes = self._codes_from_positions(qwords, positions, threshold)
-        note_search(self.ENGINE_LABEL, self.last_search_ops)
-        return codes
-
-    def _codes_from_positions(
-        self,
-        qwords: np.ndarray,
-        leaf_positions: np.ndarray,
-        threshold: int,
-    ) -> list[int]:
-        """Distinct qualifying codes for swept leaf positions + buffer."""
-        codes = [self._leaf_codes[i] for i in leaf_positions.tolist()]
-        if self._buf_ids.size:
-            near = self._buffer_distances(qwords) <= threshold
-            buffered = {
-                self._buf_codes[i]
-                for i in np.flatnonzero(near).tolist()
-            }
-            codes.extend(buffered - set(codes))
-        return codes
+        return self._codes((query,), threshold, False)[0]
 
     def search_with_distances(
         self, query: int, threshold: int
     ) -> list[tuple[int, int]]:
         """(tuple id, exact distance) pairs; used by the kNN front-end."""
-        self._require_ids()
-        self._check_query(query, threshold)
-        with trace_span("h_search", engine=self.ENGINE_LABEL, threshold=threshold):
-            return self._search_with_distances_body(query, threshold)
-
-    def _search_with_distances_body(
-        self, query: int, threshold: int
-    ) -> list[tuple[int, int]]:
-        qwords = self._query_words(query)
-        taken, ops = self._sweep(qwords, threshold)
-        self.last_search_ops = ops + len(self._buf_codes)
-        record_span("h_search.buffer", 0.0, ops=len(self._buf_codes))
-        note_search(self.ENGINE_LABEL, self.last_search_ops)
-        lo = self._leaf_lo[taken]
-        leaf_positions = _expand_ranges(lo, self._leaf_hi[taken] - lo)
-        return self._pairs_from_positions(qwords, leaf_positions, threshold)
-
-    def _pairs_from_positions(
-        self,
-        qwords: np.ndarray,
-        leaf_positions: np.ndarray,
-        threshold: int,
-    ) -> list[tuple[int, int]]:
-        """(id, distance) pairs for swept leaf positions + the buffer.
-
-        Shared tail of :meth:`search_with_distances`: the native plane
-        feeds it the leaf positions its compiled sweep emitted, so both
-        planes rank candidates through identical numpy code.
-        """
-        results: list[tuple[int, int]] = []
-        if leaf_positions.size:
-            dists = popcount64(
-                self._leaf_words[leaf_positions] ^ qwords
-            ).sum(axis=1, dtype=np.int64)
-            counts = (
-                self._id_offsets[leaf_positions + 1]
-                - self._id_offsets[leaf_positions]
-            )
-            ids = self._ids_flat[
-                _expand_ranges(self._id_offsets[leaf_positions], counts)
-            ]
-            per_id = np.repeat(dists, counts)
-            results.extend(zip(ids.tolist(), per_id.tolist()))
-        if self._buf_ids.size:
-            buf_dist = self._buffer_distances(qwords)
-            near = np.flatnonzero(buf_dist <= threshold)
-            results.extend(
-                zip(
-                    self._buf_ids[near].tolist(),
-                    buf_dist[near].tolist(),
-                )
-            )
-        return results
+        return self._pairs((query,), threshold, False)[0]
 
     def count_within(self, query: int, threshold: int) -> int:
         """Number of tuples within ``threshold``; uses the per-node
         frequency counters so covered subtrees are counted without
         descending, exactly like the node walk."""
-        self._check_query(query, threshold)
-        qwords = self._query_words(query)
-        count = 0
-        if self._buf_ids.size:
-            count += int((self._buffer_distances(qwords) <= threshold).sum())
-        threshold = min(threshold, self._code_length)
-        frontier = self._top_slots
-        simple = self._cover_is_collect
-        one_word = self._words == 1
-        while frontier.size:
-            if one_word:
-                if frontier[0] >= self._leaf_level_start:
-                    xor = self._bits1.take(frontier, mode="clip")
-                    np.bitwise_xor(xor, qwords[0], out=xor)
-                    near = frontier[popcount64(xor) <= threshold]
-                    count += int(self._frequency[near].sum())
-                    break
-                xor = self._bits1.take(frontier, mode="clip")
-                np.bitwise_xor(xor, qwords[0], out=xor)
-                np.bitwise_and(xor, self._masks1.take(frontier, mode="clip"), out=xor)
-                dist = popcount64(xor)
-                settle = dist + self._unc8.take(frontier, mode="clip") <= threshold
-            else:
-                xor = self._bits[frontier] ^ qwords
-                dist = popcount64(xor & self._masks[frontier]).sum(
-                    axis=1, dtype=np.int64
-                )
-                settle = dist + self._uncovered[frontier] <= threshold
-            if not simple:
-                settle |= (dist <= threshold) & self._is_leaf[frontier]
-            count += int(self._frequency[frontier[settle]].sum())
-            expand = frontier[(dist <= threshold) & ~settle]
-            if not expand.size:
-                break
-            frontier = _expand_ranges(
-                self._child_first.take(expand, mode="clip"),
-                self._child_count.take(expand, mode="clip")
-            )
-        return count
+        return self._tally(query, threshold, MODE_COUNT)
 
     def contains_within(self, query: int, threshold: int) -> bool:
         """True iff any stored code lies within ``threshold``."""
-        self._check_query(query, threshold)
-        qwords = self._query_words(query)
-        if self._buf_ids.size and bool(
-            (self._buffer_distances(qwords) <= threshold).any()
-        ):
-            return True
-        threshold = min(threshold, self._code_length)
-        frontier = self._top_slots
-        simple = self._cover_is_collect
-        one_word = self._words == 1
-        while frontier.size:
-            if one_word:
-                if frontier[0] >= self._leaf_level_start:
-                    xor = self._bits1.take(frontier, mode="clip")
-                    np.bitwise_xor(xor, qwords[0], out=xor)
-                    return bool((popcount64(xor) <= threshold).any())
-                xor = self._bits1.take(frontier, mode="clip")
-                np.bitwise_xor(xor, qwords[0], out=xor)
-                np.bitwise_and(xor, self._masks1.take(frontier, mode="clip"), out=xor)
-                dist = popcount64(xor)
-                hit = dist + self._unc8.take(frontier, mode="clip") <= threshold
-            else:
-                xor = self._bits[frontier] ^ qwords
-                dist = popcount64(xor & self._masks[frontier]).sum(
-                    axis=1, dtype=np.int64
-                )
-                hit = dist + self._uncovered[frontier] <= threshold
-            if not simple:
-                hit |= (dist <= threshold) & self._is_leaf[frontier]
-            # A qualifying leaf, or a covered internal node (every leaf
-            # beneath it qualifies), proves existence.
-            if bool(hit.any()):
-                return True
-            expand = frontier[(dist <= threshold) & ~hit]
-            if not expand.size:
-                return False
-            frontier = _expand_ranges(
-                self._child_first.take(expand, mode="clip"),
-                self._child_count.take(expand, mode="clip")
-            )
-        return False
-
-    # -- the batched frontier sweep ----------------------------------------
-
-    def _sweep_batch(
-        self, qmat: np.ndarray, threshold: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Shared frontier sweep for a query batch.
-
-        The live frontier is a pair list (node slot, query index): each
-        level runs one distance pass over exactly the pairs every
-        per-query node walk would examine — no dead (node, query)
-        combinations — and expansion repeats a pair's query index over
-        the node's contiguous child range.  Returns the collected
-        (node, query) matches and the total pair evaluations.
-        """
-        threshold = min(threshold, self._code_length)
-        batch = qmat.shape[0]
-        top = self._top_slots
-        nodes = np.tile(top, batch)
-        owners = np.repeat(np.arange(batch, dtype=np.int64), top.size)
-        taken_nodes: list[np.ndarray] = []
-        taken_owners: list[np.ndarray] = []
-        ops = 0
-        simple = self._cover_is_collect
-        one_word = self._words == 1
-        traced = tracing()
-        depth = 0
-        started = 0.0
-        if one_word:
-            bits1, masks1, unc8 = self._bits1, self._masks1, self._unc8
-            qcol = np.ascontiguousarray(qmat[:, 0])
-            leaf_start = self._leaf_level_start
-        while nodes.size:
-            size = int(nodes.size)
-            ops += size
-            if traced:
-                started = perf_counter()
-            if one_word:
-                if nodes[0] >= leaf_start:
-                    xor = bits1.take(nodes, mode="clip")
-                    np.bitwise_xor(xor, qcol.take(owners, mode="clip"), out=xor)
-                    near = popcount64(xor) <= threshold
-                    if near.any():
-                        taken_nodes.append(nodes[near])
-                        taken_owners.append(owners[near])
-                    if traced:
-                        _note_level(depth, size, 0, started)
-                    break
-                xor = bits1.take(nodes, mode="clip")
-                np.bitwise_xor(xor, qcol.take(owners, mode="clip"), out=xor)
-                np.bitwise_and(xor, masks1.take(nodes, mode="clip"), out=xor)
-                dist = popcount64(xor)
-                collect = dist + unc8.take(nodes, mode="clip") <= threshold
-            else:
-                xor = self._bits[nodes] ^ qmat[owners]
-                dist = popcount64(xor & self._masks[nodes]).sum(
-                    axis=1, dtype=np.int64
-                )
-                collect = dist + self._uncovered[nodes] <= threshold
-            if not simple:
-                collect |= (dist <= threshold) & self._is_leaf[nodes]
-            if collect.any():
-                taken_nodes.append(nodes[collect])
-                taken_owners.append(owners[collect])
-            expand = (dist <= threshold) & ~collect
-            parents = nodes[expand]
-            if traced:
-                _note_level(depth, size, int(parents.size), started)
-                depth += 1
-            if not parents.size:
-                break
-            counts = self._child_count.take(parents, mode="clip")
-            nodes = _expand_ranges(self._child_first.take(parents, mode="clip"), counts)
-            owners = np.repeat(owners[expand], counts)
-        if taken_nodes:
-            return (
-                np.concatenate(taken_nodes),
-                np.concatenate(taken_owners),
-                ops,
-            )
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, ops
-
-    @staticmethod
-    def _split_by_owner(
-        values: np.ndarray, owners: np.ndarray, batch: int
-    ) -> list[np.ndarray]:
-        """Partition ``values`` into per-query arrays by owner index."""
-        order = np.argsort(owners, kind="stable")
-        values = values[order]
-        bounds = np.searchsorted(
-            owners[order], np.arange(batch + 1, dtype=np.int64)
-        )
-        return [
-            values[bounds[i]:bounds[i + 1]] for i in range(batch)
-        ]
+        return self._tally(query, threshold, MODE_EXISTS) > 0
 
     def search_batch(
         self, queries: Sequence[int], threshold: int
     ) -> list[list[int]]:
         """Exact Hamming-select for every query of a batch at once.
 
-        Returns one id list per query, each identical (as a multiset)
-        to ``search(query, threshold)``.  ``last_search_ops`` is the
-        total pair evaluations of the shared sweep — the sum of the
-        per-query node-walk counts — plus the buffered comparisons.
+        Returns one id list per query, each equal to
+        ``search(query, threshold)``.  ``last_search_ops`` is the total
+        pair evaluations of the shared sweep — the sum of the per-query
+        node-walk counts — plus the buffered comparisons.
         """
-        self._require_ids()
-        queries = list(queries)
-        for query in queries:
-            self._check_query(query, threshold)
-        if not queries:
-            return []
-        batch = len(queries)
-        with trace_span(
-            "h_search", engine=self.ENGINE_LABEL, batch=batch, threshold=threshold
-        ):
-            qmat = _pack_column(queries, self._words)
-            nodes, owners, ops = self._sweep_batch(qmat, threshold)
-            self.last_search_ops = ops + len(self._buf_codes) * batch
-            record_span(
-                "h_search.buffer", 0.0,
-                ops=len(self._buf_codes) * batch,
-            )
-            return self._batch_ids(qmat, nodes, owners, batch, threshold)
+        return [ids.tolist() for ids in self._ids(queries, threshold, True)]
 
     def search_batch_arrays(
         self, queries: Sequence[int], threshold: int
@@ -871,219 +808,21 @@ class FlatHAIndex(HammingIndex):
         coordinators can merge shard results at C speed and convert to
         Python ints once, after the merge.
         """
-        self._require_ids()
-        queries = list(queries)
-        for query in queries:
-            self._check_query(query, threshold)
-        if not queries:
-            return []
-        batch = len(queries)
-        with trace_span(
-            "h_search", engine=self.ENGINE_LABEL, batch=batch, threshold=threshold
-        ):
-            qmat = _pack_column(queries, self._words)
-            nodes, owners, ops = self._sweep_batch(qmat, threshold)
-            self.last_search_ops = ops + len(self._buf_codes) * batch
-            record_span(
-                "h_search.buffer", 0.0,
-                ops=len(self._buf_codes) * batch,
-            )
-            return self._batch_id_chunks(
-                qmat, nodes, owners, batch, threshold
-            )
-
-    def _batch_id_chunks(
-        self,
-        qmat: np.ndarray,
-        nodes: np.ndarray,
-        owners: np.ndarray,
-        batch: int,
-        threshold: int,
-    ) -> list[np.ndarray]:
-        note_search(self.ENGINE_LABEL, self.last_search_ops, queries=batch)
-        id_lo = self._id_offsets[self._leaf_lo[nodes]]
-        counts = self._id_offsets[self._leaf_hi[nodes]] - id_lo
-        all_ids = self._ids_flat[_expand_ranges(id_lo, counts)]
-        id_owners = np.repeat(owners, counts)
-        near = self._batch_buffer_matches(qmat, threshold)
-        if near is not None:
-            buf_rows, buf_cols = np.nonzero(near)
-            all_ids = np.concatenate([all_ids, self._buf_ids[buf_rows]])
-            id_owners = np.concatenate([id_owners, buf_cols])
-        return self._split_by_owner(all_ids, id_owners, batch)
-
-    def _batch_ids(
-        self,
-        qmat: np.ndarray,
-        nodes: np.ndarray,
-        owners: np.ndarray,
-        batch: int,
-        threshold: int,
-    ) -> list[list[int]]:
-        return [
-            chunk.tolist()
-            for chunk in self._batch_id_chunks(
-                qmat, nodes, owners, batch, threshold
-            )
-        ]
+        return self._ids(queries, threshold, True)
 
     def search_codes_batch(
         self, queries: Sequence[int], threshold: int
     ) -> list[list[int]]:
         """Distinct qualifying codes for every query of a batch."""
-        queries = list(queries)
-        for query in queries:
-            self._check_query(query, threshold)
-        if not queries:
-            return []
-        batch = len(queries)
-        with trace_span(
-            "h_search", engine=self.ENGINE_LABEL, batch=batch, threshold=threshold
-        ):
-            qmat = _pack_column(queries, self._words)
-            nodes, owners, ops = self._sweep_batch(qmat, threshold)
-            self.last_search_ops = ops + len(self._buf_codes) * batch
-            record_span(
-                "h_search.buffer", 0.0,
-                ops=len(self._buf_codes) * batch,
-            )
-            return self._batch_codes(qmat, nodes, owners, batch, threshold)
-
-    def _batch_codes(
-        self,
-        qmat: np.ndarray,
-        nodes: np.ndarray,
-        owners: np.ndarray,
-        batch: int,
-        threshold: int,
-    ) -> list[list[int]]:
-        note_search(self.ENGINE_LABEL, self.last_search_ops, queries=batch)
-        lo = self._leaf_lo[nodes]
-        spans = self._leaf_hi[nodes] - lo
-        leaf_positions = _expand_ranges(lo, spans)
-        leaf_owners = np.repeat(owners, spans)
-        per_query = self._split_by_owner(leaf_positions, leaf_owners, batch)
-        near = self._batch_buffer_matches(qmat, threshold)
-        return self._batch_codes_from_positions(per_query, near)
-
-    def _batch_codes_from_positions(
-        self,
-        per_query: Sequence[np.ndarray],
-        near: np.ndarray | None,
-    ) -> list[list[int]]:
-        """Per-query distinct codes from per-query leaf positions."""
-        results: list[list[int]] = []
-        for column, positions in enumerate(per_query):
-            codes = [self._leaf_codes[i] for i in positions.tolist()]
-            if near is not None:
-                buffered = {
-                    self._buf_codes[i]
-                    for i in np.flatnonzero(near[:, column]).tolist()
-                }
-                codes.extend(buffered - set(codes))
-            results.append(codes)
-        return results
+        return self._codes(queries, threshold, True)
 
     def search_with_distances_batch(
         self, queries: Sequence[int], threshold: int
     ) -> list[list[tuple[int, int]]]:
-        """Batched :meth:`search_with_distances` through one shared sweep.
-
-        One frontier pass scores the whole batch, then candidate
-        distances are computed in a single vectorized pass over the
-        collected leaf positions — this is what lets the kNN front-end
-        expand thresholds for a whole batch at once instead of
-        rebuilding pair lists per query per round.  Each returned pair
-        list equals ``search_with_distances(query, threshold)``.
-        """
-        self._require_ids()
-        queries = list(queries)
-        for query in queries:
-            self._check_query(query, threshold)
-        if not queries:
-            return []
-        batch = len(queries)
-        with trace_span(
-            "h_search", engine=self.ENGINE_LABEL,
-            batch=batch, threshold=threshold,
-        ):
-            qmat = _pack_column(queries, self._words)
-            nodes, owners, ops = self._sweep_batch(qmat, threshold)
-            self.last_search_ops = ops + len(self._buf_codes) * batch
-            record_span(
-                "h_search.buffer", 0.0,
-                ops=len(self._buf_codes) * batch,
-            )
-            lo = self._leaf_lo[nodes]
-            spans = self._leaf_hi[nodes] - lo
-            positions = _expand_ranges(lo, spans)
-            position_owners = np.repeat(owners, spans)
-            return self._batch_pairs(
-                qmat, positions, position_owners, batch, threshold
-            )
-
-    def _batch_pairs(
-        self,
-        qmat: np.ndarray,
-        leaf_positions: np.ndarray,
-        position_owners: np.ndarray,
-        batch: int,
-        threshold: int,
-    ) -> list[list[tuple[int, int]]]:
-        """Per-query (id, distance) lists from swept (position, owner) pairs."""
-        note_search(self.ENGINE_LABEL, self.last_search_ops, queries=batch)
-        if leaf_positions.size:
-            dists = popcount64(
-                self._leaf_words[leaf_positions] ^ qmat[position_owners]
-            ).sum(axis=1, dtype=np.int64)
-            counts = (
-                self._id_offsets[leaf_positions + 1]
-                - self._id_offsets[leaf_positions]
-            )
-            ids = self._ids_flat[
-                _expand_ranges(self._id_offsets[leaf_positions], counts)
-            ]
-            id_owners = np.repeat(position_owners, counts)
-            id_dists = np.repeat(dists, counts)
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            id_owners = np.empty(0, dtype=np.int64)
-            id_dists = np.empty(0, dtype=np.int64)
-        if self._buf_ids.size:
-            buf_dist = popcount64(
-                self._buf_words[:, None, :] ^ qmat[None, :, :]
-            ).sum(axis=2, dtype=np.int64)
-            rows, cols = np.nonzero(buf_dist <= threshold)
-            ids = np.concatenate([ids, self._buf_ids[rows]])
-            id_owners = np.concatenate(
-                [id_owners, cols.astype(np.int64)]
-            )
-            id_dists = np.concatenate([id_dists, buf_dist[rows, cols]])
-        order = np.argsort(id_owners, kind="stable")
-        ids = ids[order]
-        id_dists = id_dists[order]
-        bounds = np.searchsorted(
-            id_owners[order], np.arange(batch + 1, dtype=np.int64)
-        )
-        return [
-            list(
-                zip(
-                    ids[bounds[i]:bounds[i + 1]].tolist(),
-                    id_dists[bounds[i]:bounds[i + 1]].tolist(),
-                )
-            )
-            for i in range(batch)
-        ]
-
-    def _batch_buffer_matches(
-        self, qmat: np.ndarray, threshold: int
-    ) -> np.ndarray | None:
-        if not self._buf_ids.size:
-            return None
-        dist = popcount64(
-            self._buf_words[:, None, :] ^ qmat[None, :, :]
-        ).sum(axis=2, dtype=np.int64)
-        return dist <= threshold
+        """Batched :meth:`search_with_distances` through one shared sweep,
+        which lets the kNN front-end expand thresholds for a whole batch
+        at once."""
+        return self._pairs(queries, threshold, True)
 
     # -- HammingIndex contract ---------------------------------------------
 

@@ -1,31 +1,35 @@
-"""The compiled backend of the H-Search frontier sweep.
+"""The compiled tier of the H-Search sweep primitive.
 
-:class:`~repro.core.native_ha.NativeHAIndex` answers queries through a
-compiled sweep when one is available, and through the numpy flat kernel
-otherwise.  This module owns the two tiers and the per-kernel execution
-state:
+:class:`~repro.core.native_ha.NativeHAIndex` runs the flat kernel's one
+sweep primitive (:meth:`~repro.core.flat_ha.FlatHAIndex._sweep_batch`)
+through compiled code when it can, and through the primitive's numpy
+loop otherwise.  This module owns the two tiers and the per-kernel
+execution state:
 
-* ``cc`` — the sweep as embedded C, compiled once per source digest
-  with the system compiler and loaded via ``ctypes``.
-* ``numpy`` — no native state at all; callers keep using the
-  vectorized :class:`~repro.core.flat_ha.FlatHAIndex` sweeps.
+* ``cc`` — one C function, ``hs_sweep64``, compiled once per source
+  digest with the system compiler and loaded via ``ctypes``.  It walks a
+  query batch in any of the four emission modes (tuple ids, leaf
+  positions, frequency count, existence); a single query is a batch of
+  one.
+* ``numpy`` — no native state at all; the primitive's numpy loop
+  answers.
 
 Selection is ``cc`` when the library builds and ``numpy`` otherwise,
 overridable with the ``REPRO_NATIVE`` environment variable
 (``auto``/``cc``/``numpy``; unknown values behave as ``auto``) or, in
-tests, the :func:`force_backend` context manager.  The C sweep replays
-the *exact* run-based traversal of the numpy sweep — same visit order,
-same emissions, same distance-computation count — so results and
+tests, the :func:`force_backend` context manager.  The C walk replays
+the *exact* traversal of the numpy loop — same visit order, same
+emissions, same distance-computation count — so results and
 ``last_search_ops`` stay byte-identical across tiers; the differential
 suite enforces that.
 
 The frontier is kept as contiguous ``(first child, count)`` slot runs
 rather than materialized node lists: children of one node occupy one
 contiguous slot range in the next level, so each level walks sequential
-memory.  Scratch run buffers and the bound kernel struct live in a
-per-kernel :class:`NativeState` guarded by a lock — the compiled calls
-drop the GIL, and one kernel may be probed from several threads by the
-parallel-join thread fallback.
+memory.  Scratch run buffers, the query, count and output buffers and
+the bound kernel struct live in a per-kernel :class:`NativeState`
+guarded by a lock — the compiled call drops the GIL, and one kernel may
+be probed from several threads by the parallel-join thread fallback.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import subprocess
 import tempfile
 import threading
 from contextlib import contextmanager
-from ctypes import POINTER, byref, c_int64, c_uint64, c_void_p
+from ctypes import c_int64, c_void_p
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -63,6 +67,17 @@ ENV_VAR = "REPRO_NATIVE"
 _VALID_CHOICES = ("auto", "cc", "numpy")
 
 _FORCED: str | None = None
+
+#: Queries the per-query buffers of a :class:`NativeState` hold before
+#: a larger batch resizes them.
+_BATCH_CAP = 512
+
+_NO_VALUES = np.empty(0, dtype=np.int64)
+_NO_VALUES.flags.writeable = False
+
+#: Prebuilt ``int64`` arguments for the hot call: every mode, every
+#: clamped single-word threshold, and batch sizes up to 64.
+_INT_ARGS = tuple(c_int64(value) for value in range(65))
 
 
 def requested_backend() -> str:
@@ -130,12 +145,16 @@ def _library():
 # -- the C tier -------------------------------------------------------------
 
 #: The H-Search sweep as C.  ``HsKernel`` binds one flat kernel's tree
-#: arrays plus scratch run buffers; every entry point replays the numpy
-#: sweep exactly (visit order, emissions, op counts).  ``mode`` selects
-#: the emission: 0 = tuple ids of taken nodes' leaf ranges, 1 = leaf
-#: positions of taken nodes.  Entry points return the emitted length,
-#: or -1 when ``cap`` would overflow (callers retry with a larger
-#: buffer).
+#: arrays plus scratch run buffers and the per-query input and count
+#: buffers.  The one entry point, ``hs_sweep64``, walks ``nq`` queries
+#: one after another, replaying the numpy sweep exactly (visit order,
+#: emissions, op counts).  ``mode`` picks what a qualifying node
+#: contributes: 0 = the tuple ids of its leaf range, 1 = its leaf
+#: positions, 2 = its frequency, 3 = a hit (the walk stops there).
+#: ``counts[i]`` receives query ``i``'s emitted length, frequency sum or
+#: 0/1 and ``ops`` the total distance computations; the return value is
+#: the total emitted, or -1 when ``cap`` would overflow (callers retry
+#: with a larger buffer).
 _C_SOURCE = r"""
 #include <stdint.h>
 
@@ -158,40 +177,57 @@ typedef struct {
     int64_t *run_count;   /* scratch: run lengths */
     int64_t *next_first;  /* scratch double-buffer */
     int64_t *next_count;
+    const uint64_t *queries;
+    int64_t *counts;
+    int64_t ops;
 } HsKernel;
 
-static inline int64_t hs_emit(const HsKernel *k, int64_t mode, int64_t s,
-                              int64_t *out, int64_t cap, int64_t written)
+/* Append qualifying node s's tuple ids (mode 0) or leaf positions
+   (mode 1) to out[n..cap); returns the new fill, or -1 on overflow.
+   Kept out of line so the walk's inner loop stays small. */
+static __attribute__((noinline)) int64_t
+hs_emit(const HsKernel *k, int64_t mode, int64_t s, int64_t *out,
+        int64_t cap, int64_t n)
 {
     int64_t lo, hi, p;
     if (mode == 0) {
         lo = k->id_offsets[k->leaf_lo[s]];
         hi = k->id_offsets[k->leaf_hi[s]];
-        if (written + (hi - lo) > cap) return -1;
-        for (p = lo; p < hi; p++) out[written++] = k->ids_flat[p];
+        if (n + (hi - lo) > cap) return -1;
+        for (p = lo; p < hi; p++) out[n++] = k->ids_flat[p];
     } else {
         lo = k->leaf_lo[s];
         hi = k->leaf_hi[s];
-        if (written + (hi - lo) > cap) return -1;
-        for (p = lo; p < hi; p++) out[written++] = p;
+        if (n + (hi - lo) > cap) return -1;
+        for (p = lo; p < hi; p++) out[n++] = p;
     }
-    return written;
+    return n;
 }
 
-/* Frontier kept as contiguous slot runs: every expansion appends one
-   (child_first, child_count) run, so each level walks sequential
-   memory instead of a gathered index list.  Empty runs are skipped so
-   run_first[0] is always the frontier's first live slot (the terminal
-   all-leaf level test depends on that). */
-int64_t hs_query64(const HsKernel *k, uint64_t query, int64_t threshold,
-                   int64_t mode, int64_t *out, int64_t cap,
-                   int64_t *ops_out)
+/* A qualifying node s: end the walk with a hit (mode 3), add its
+   frequency (mode 2), or emit its leaf range (modes 0 and 1). */
+#define HS_TAKE(s)                                                      \
+    do {                                                                \
+        if (mode == 3) return 1;                                        \
+        if (mode == 2) n += k->frequency[s];                            \
+        else if ((n = hs_emit(k, mode, s, out, cap, n)) < 0) return -1; \
+    } while (0)
+
+/* One query's walk; returns its result (or -1 on overflow) and adds
+   its distance computations to *ops.  The frontier is kept as
+   contiguous slot runs: every expansion appends one (child_first,
+   child_count) run, so each level walks sequential memory instead of
+   a gathered index list.  Empty runs are skipped so run_first[0] is
+   always the frontier's first live slot (the terminal all-leaf level
+   test depends on that). */
+static inline __attribute__((always_inline)) int64_t
+hs_walk(const HsKernel *k, uint64_t query, int64_t threshold,
+        const int64_t mode, int64_t *out, int64_t cap, int64_t *ops_io)
 {
     int64_t *rf = k->run_first, *rc = k->run_count;
-    int64_t *nf = k->next_first, *nc = k->next_count;
-    int64_t nruns = 0, ops = 0, written = 0, r, s, a, b, d, nnext;
-    int cover;
-    int simple = (int)k->simple;
+    int64_t *nf = k->next_first, *nc = k->next_count, *t;
+    int64_t nruns = 0, n = 0, ops = 0, r, s, a, b, d, nnext;
+    int take, simple = (int)k->simple;
     if (k->top_count > 0) { rf[0] = 0; rc[0] = k->top_count; nruns = 1; }
     while (nruns > 0) {
         if (rf[0] >= k->leaf_level_start) {
@@ -199,13 +235,10 @@ int64_t hs_query64(const HsKernel *k, uint64_t query, int64_t threshold,
                expand. */
             for (r = 0; r < nruns; r++) {
                 a = rf[r]; b = a + rc[r]; ops += rc[r];
-                for (s = a; s < b; s++) {
+                for (s = a; s < b; s++)
                     if (__builtin_popcountll(k->bits[s] ^ query)
-                            <= threshold) {
-                        written = hs_emit(k, mode, s, out, cap, written);
-                        if (written < 0) return -1;
-                    }
-                }
+                            <= threshold)
+                        HS_TAKE(s);
             }
             break;
         }
@@ -215,132 +248,48 @@ int64_t hs_query64(const HsKernel *k, uint64_t query, int64_t threshold,
             for (s = a; s < b; s++) {
                 d = __builtin_popcountll(
                     (k->bits[s] ^ query) & k->masks[s]);
-                cover = (d + k->unc[s] <= threshold);
-                if (!simple && !cover)
-                    cover = (d <= threshold) && k->is_leaf[s];
-                if (cover) {
-                    written = hs_emit(k, mode, s, out, cap, written);
-                    if (written < 0) return -1;
+                take = (d + k->unc[s] <= threshold);
+                if (!simple && !take)
+                    take = (d <= threshold) && k->is_leaf[s];
+                if (take) {
+                    HS_TAKE(s);
                 } else if (d <= threshold && k->child_count[s] > 0) {
                     nf[nnext] = k->child_first[s];
                     nc[nnext++] = k->child_count[s];
                 }
             }
         }
-        { int64_t *t;
-          t = rf; rf = nf; nf = t;
-          t = rc; rc = nc; nc = t; }
+        t = rf; rf = nf; nf = t;
+        t = rc; rc = nc; nc = t;
         nruns = nnext;
     }
-    *ops_out = ops;
-    return written;
+    *ops_io += ops;
+    return n;
 }
 
-int64_t hs_query_batch64(const HsKernel *k, const uint64_t *queries,
-                         int64_t nq, int64_t threshold, int64_t mode,
-                         int64_t *out, int64_t cap, int64_t *counts,
-                         int64_t *ops_out)
-{
-    int64_t total = 0, ops = 0, i, w, o;
-    for (i = 0; i < nq; i++) {
-        o = 0;
-        w = hs_query64(k, queries[i], threshold, mode,
-                       out + total, cap - total, &o);
-        if (w < 0) return -1;
-        counts[i] = w;
-        total += w;
-        ops += o;
+/* The walk of one mode over the query batch. */
+#define HS_SWEEP(m)                                                     \
+    for (i = 0; i < nq; i++) {                                          \
+        n = hs_walk(k, k->queries[i], threshold, m, out + total,        \
+                    cap - total, &ops);                                 \
+        if (n < 0) return -1;                                           \
+        k->counts[i] = n;                                               \
+        if (m < 2) total += n;                                          \
     }
-    *ops_out = ops;
+
+int64_t hs_sweep64(HsKernel *k, int64_t nq, int64_t threshold,
+                   int64_t mode, int64_t *out, int64_t cap)
+{
+    int64_t total = 0, ops = 0, i, n;
+    /* One loop per mode, so each walk compiles with its mode fixed. */
+    switch (mode) {
+    case 0: HS_SWEEP(0) break;
+    case 1: HS_SWEEP(1) break;
+    case 2: HS_SWEEP(2) break;
+    default: HS_SWEEP(3) break;
+    }
+    k->ops = ops;
     return total;
-}
-
-int64_t hs_count64(const HsKernel *k, uint64_t query, int64_t threshold)
-{
-    int64_t *rf = k->run_first, *rc = k->run_count;
-    int64_t *nf = k->next_first, *nc = k->next_count;
-    int64_t nruns = 0, total = 0, r, s, a, b, d, nnext;
-    int settle;
-    int simple = (int)k->simple;
-    if (k->top_count > 0) { rf[0] = 0; rc[0] = k->top_count; nruns = 1; }
-    while (nruns > 0) {
-        if (rf[0] >= k->leaf_level_start) {
-            for (r = 0; r < nruns; r++) {
-                a = rf[r]; b = a + rc[r];
-                for (s = a; s < b; s++)
-                    if (__builtin_popcountll(k->bits[s] ^ query)
-                            <= threshold)
-                        total += k->frequency[s];
-            }
-            break;
-        }
-        nnext = 0;
-        for (r = 0; r < nruns; r++) {
-            a = rf[r]; b = a + rc[r];
-            for (s = a; s < b; s++) {
-                d = __builtin_popcountll(
-                    (k->bits[s] ^ query) & k->masks[s]);
-                settle = (d + k->unc[s] <= threshold);
-                if (!simple && !settle)
-                    settle = (d <= threshold) && k->is_leaf[s];
-                if (settle) {
-                    total += k->frequency[s];
-                } else if (d <= threshold && k->child_count[s] > 0) {
-                    nf[nnext] = k->child_first[s];
-                    nc[nnext++] = k->child_count[s];
-                }
-            }
-        }
-        { int64_t *t;
-          t = rf; rf = nf; nf = t;
-          t = rc; rc = nc; nc = t; }
-        nruns = nnext;
-    }
-    return total;
-}
-
-int64_t hs_contains64(const HsKernel *k, uint64_t query, int64_t threshold)
-{
-    int64_t *rf = k->run_first, *rc = k->run_count;
-    int64_t *nf = k->next_first, *nc = k->next_count;
-    int64_t nruns = 0, r, s, a, b, d, nnext;
-    int hit;
-    int simple = (int)k->simple;
-    if (k->top_count > 0) { rf[0] = 0; rc[0] = k->top_count; nruns = 1; }
-    while (nruns > 0) {
-        if (rf[0] >= k->leaf_level_start) {
-            for (r = 0; r < nruns; r++) {
-                a = rf[r]; b = a + rc[r];
-                for (s = a; s < b; s++)
-                    if (__builtin_popcountll(k->bits[s] ^ query)
-                            <= threshold)
-                        return 1;
-            }
-            return 0;
-        }
-        nnext = 0;
-        for (r = 0; r < nruns; r++) {
-            a = rf[r]; b = a + rc[r];
-            for (s = a; s < b; s++) {
-                d = __builtin_popcountll(
-                    (k->bits[s] ^ query) & k->masks[s]);
-                hit = (d + k->unc[s] <= threshold);
-                if (!simple && !hit)
-                    hit = (d <= threshold) && k->is_leaf[s];
-                if (hit)
-                    return 1;
-                if (d <= threshold && k->child_count[s] > 0) {
-                    nf[nnext] = k->child_first[s];
-                    nc[nnext++] = k->child_count[s];
-                }
-            }
-        }
-        { int64_t *t;
-          t = rf; rf = nf; nf = t;
-          t = rc; rc = nc; nc = t; }
-        nruns = nnext;
-    }
-    return 0;
 }
 """
 
@@ -367,6 +316,9 @@ class _HsKernelStruct(ctypes.Structure):
         ("run_count", c_void_p),
         ("next_first", c_void_p),
         ("next_count", c_void_p),
+        ("queries", c_void_p),
+        ("counts", c_void_p),
+        ("ops", c_int64),
     ]
 
 
@@ -421,20 +373,11 @@ def _compile_library() -> Path:
 
 def _load_cc():
     lib = ctypes.CDLL(str(_compile_library()))
-    lib.hs_query64.argtypes = [
-        POINTER(_HsKernelStruct), c_uint64, c_int64, c_int64,
-        c_void_p, c_int64, POINTER(c_int64),
-    ]
-    lib.hs_query64.restype = c_int64
-    lib.hs_query_batch64.argtypes = [
-        POINTER(_HsKernelStruct), c_void_p, c_int64, c_int64, c_int64,
-        c_void_p, c_int64, c_void_p, POINTER(c_int64),
-    ]
-    lib.hs_query_batch64.restype = c_int64
-    for name in ("hs_count64", "hs_contains64"):
-        fn = getattr(lib, name)
-        fn.argtypes = [POINTER(_HsKernelStruct), c_uint64, c_int64]
-        fn.restype = c_int64
+    # No argtypes: every call passes ready ``c_void_p``/``c_int64``
+    # objects, so nothing is converted or truncated, and the call skips
+    # ctypes' per-argument conversion (about 0.4 us, near a tenth of a
+    # single-query ``count_within``).
+    lib.hs_sweep64.restype = c_int64
     _smoke_cc(lib)
     return lib
 
@@ -454,23 +397,30 @@ def _smoke_cc(lib) -> None:
         "ids_flat": np.array([7], dtype=np.int64),
         "frequency": np.ones(1, dtype=np.int64),
     }
-    scratch = [np.zeros(2, dtype=np.int64) for _ in range(4)]
-    struct = _bind(arrays, scratch, top_count=1, leaf_level_start=0, simple=1)
+    arrays.update({name: np.zeros(2, dtype=np.int64) for name in _RUNS})
+    arrays["queries"] = np.zeros(1, dtype=np.uint64)
+    arrays["counts"] = np.zeros(1, dtype=np.int64)
+    struct = _bind(arrays, top_count=1, leaf_level_start=0, simple=1)
     out = np.zeros(4, dtype=np.int64)
-    ops = c_int64(0)
-    written = lib.hs_query64(
-        byref(struct), 0, 0, 0, out.ctypes.data, out.size, byref(ops)
+    written = lib.hs_sweep64(
+        c_void_p(ctypes.addressof(struct)), _INT_ARGS[1], _INT_ARGS[0],
+        _INT_ARGS[0], c_void_p(out.ctypes.data), c_int64(out.size),
     )
-    if written != 1 or out[0] != 7 or ops.value != 1:
+    if (
+        written != 1 or out[0] != 7 or arrays["counts"][0] != 1
+        or struct.ops != 1
+    ):
         raise RuntimeError("cc kernel smoke check failed")
 
 
-def _bind(arrays: dict, scratch: list, **scalars) -> _HsKernelStruct:
-    """An ``HsKernel`` struct pointing at ``arrays`` and ``scratch``."""
-    runs = ("run_first", "run_count", "next_first", "next_count")
+#: The struct's scratch run buffers.
+_RUNS = ("run_first", "run_count", "next_first", "next_count")
+
+
+def _bind(arrays: dict, **scalars) -> _HsKernelStruct:
+    """An ``HsKernel`` struct pointing at every array in ``arrays``."""
     return _HsKernelStruct(
         **{name: c_void_p(arr.ctypes.data) for name, arr in arrays.items()},
-        **{name: c_void_p(arr.ctypes.data) for name, arr in zip(runs, scratch)},
         **scalars,
     )
 
@@ -483,15 +433,16 @@ class NativeState:
 
     Keeps its own references to every bound array so the memory can
     never be collected while a raw pointer is outstanding.  ``lock``
-    serializes access to the scratch run buffers — the compiled calls
-    release the GIL while sweeping.
+    serializes access to the scratch run buffers and the preallocated
+    query, count and output buffers — the compiled call releases the
+    GIL while sweeping.
     """
 
     backend = "cc"
 
     def __init__(self, lib, flat: "FlatHAIndex") -> None:
         self.lock = threading.Lock()
-        self._lib = lib
+        self._sweep64 = lib.hs_sweep64
         self.arrays = {
             name: np.ascontiguousarray(array)
             for name, array in (
@@ -508,68 +459,71 @@ class NativeState:
                 ("frequency", flat._frequency),
             )
         }
-        self.scratch = [
-            np.empty(flat.num_nodes + 1, dtype=np.int64) for _ in range(4)
-        ]
+        self.scratch = {
+            name: np.empty(flat.num_nodes + 1, dtype=np.int64)
+            for name in _RUNS
+        }
         # Taken nodes have disjoint leaf ranges (a covered node is
         # never expanded), so one query emits at most every id / leaf
-        # position once: this buffer provably never overflows for
-        # single-query calls.
+        # position once: ``out_cap`` per query never overflows.
         self.out_cap = max(
             int(flat._ids_flat.size), int(flat._id_offsets.size), 256
         )
         self.out = np.empty(self.out_cap, dtype=np.int64)
+        self._out = c_void_p(self.out.ctypes.data)
+        self._cap = c_int64(self.out_cap)
+        self.queries = np.empty(_BATCH_CAP, dtype=np.uint64)
+        self.counts = np.empty(_BATCH_CAP, dtype=np.int64)
         self._struct = _bind(
-            self.arrays,
-            self.scratch,
+            {**self.arrays, **self.scratch,
+             "queries": self.queries, "counts": self.counts},
             top_count=int(flat._top_slots.size),
             leaf_level_start=int(flat._leaf_level_start),
             simple=int(flat._cover_is_collect),
         )
+        self._kernel = c_void_p(ctypes.addressof(self._struct))
 
-    def sweep(self, query: int, threshold: int, mode: int):
-        """One query; returns (emitted int64 array, ops)."""
-        ops = c_int64(0)
-        with self.lock:
-            written = self._lib.hs_query64(
-                byref(self._struct), query, threshold, mode,
-                self.out.ctypes.data, self.out_cap, byref(ops),
-            )
-            if written < 0:  # pragma: no cover - capacity is provable
-                raise IndexStateError("native sweep output overflow")
-            return self.out[:written].copy(), int(ops.value)
+    def sweep(self, queries: list[int], threshold: int, mode: int):
+        """Sweep a query batch; returns (values, per-query counts, ops).
 
-    def sweep_batch(self, queries: np.ndarray, threshold: int, mode: int):
-        """A query batch; returns (emitted, per-query counts, ops)."""
-        nq = int(queries.size)
-        counts = np.empty(nq, dtype=np.int64)
-        cap = self.out_cap
-        hard_cap = max(self.out_cap * max(nq, 1), cap)
-        while True:
-            out = np.empty(cap, dtype=np.int64)
-            ops = c_int64(0)
-            with self.lock:
-                total = self._lib.hs_query_batch64(
-                    byref(self._struct), queries.ctypes.data, nq,
-                    threshold, mode, out.ctypes.data, out.size,
-                    counts.ctypes.data, byref(ops),
+        The contract of :meth:`FlatHAIndex._sweep_batch`.  Results are
+        copied out of the shared buffers before the lock is released.
+        An answer too big for the output buffer is redone into
+        call-local buffers of doubling size, dropped with the call.
+        """
+        nq = len(queries)
+        self.lock.acquire()  # cheaper than ``with`` on this hot path
+        try:
+            if nq == 1:
+                self.queries[0] = queries[0]
+            else:
+                if nq > self.queries.size:
+                    self._size_batch(nq)
+                self.queries[:nq] = queries
+            kernel, t_arg, m_arg = self._kernel, _INT_ARGS[threshold], _INT_ARGS[mode]
+            n_arg = _INT_ARGS[nq] if nq < len(_INT_ARGS) else c_int64(nq)
+            out, cap = self.out, self.out_cap
+            total = self._sweep64(kernel, n_arg, t_arg, m_arg, self._out, self._cap)
+            while total < 0:
+                if cap >= self.out_cap * nq:  # pragma: no cover - provable
+                    raise IndexStateError("native sweep output overflow")
+                cap = min(cap * 2, self.out_cap * nq)
+                out = np.empty(cap, dtype=np.int64)
+                total = self._sweep64(
+                    kernel, n_arg, t_arg, m_arg,
+                    c_void_p(out.ctypes.data), c_int64(cap),
                 )
-            if total >= 0:
-                return out[:total], counts, int(ops.value)
-            if cap >= hard_cap:  # pragma: no cover - capacity is provable
-                raise IndexStateError("native sweep output overflow")
-            cap = min(cap * 2, hard_cap)
-
-    def count(self, query: int, threshold: int) -> int:
-        with self.lock:
-            return int(
-                self._lib.hs_count64(byref(self._struct), query, threshold)
+            return (
+                out[:total].copy() if total else _NO_VALUES,
+                self.counts[:nq].tolist(),
+                self._struct.ops,
             )
+        finally:
+            self.lock.release()
 
-    def contains(self, query: int, threshold: int) -> bool:
-        with self.lock:
-            return bool(
-                self._lib.hs_contains64(
-                    byref(self._struct), query, threshold
-                )
-            )
+    def _size_batch(self, nq: int) -> None:
+        """Grow the query and count buffers to ``nq`` queries."""
+        self.queries = np.empty(nq, dtype=np.uint64)
+        self.counts = np.empty(nq, dtype=np.int64)
+        self._struct.queries = self.queries.ctypes.data
+        self._struct.counts = self.counts.ctypes.data

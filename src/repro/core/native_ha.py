@@ -1,28 +1,27 @@
 """The native (compiled) query plane of the Dynamic HA-Index.
 
 :class:`NativeHAIndex` is a :class:`~repro.core.flat_ha.FlatHAIndex`
-whose sweeps run through the compiled C backend
-(:mod:`repro.core.native`) instead of the vectorized numpy frontier.
-The compiled sweep replays the numpy traversal exactly — same visit
-order, same emissions, same distance-computation count — so every query
-answers byte-identically to the flat plane and ``last_search_ops``
-still sums to the node walk's count.  Only the hot traversal moves to
-native code; candidate ranking, buffered-insert comparisons, and code
-dedup stay in the shared numpy helpers of the base class.
+whose one sweep primitive, :meth:`FlatHAIndex._sweep_batch`, runs
+through the compiled C backend (:mod:`repro.core.native`) instead of
+the numpy frontier loop.  Every public read — single queries as batches
+of one, the batch forms, ``count_within`` and ``contains_within`` — is
+the base class's, so candidate ranking, buffered-insert comparisons,
+code dedup, spans and metrics are shared code, and the compiled walk
+replays the numpy traversal exactly: same visit order, same emissions,
+same distance-computation count.  Answers are byte-identical to the
+flat plane and ``last_search_ops`` still sums to the node walk's count.
 
 A native index is a *view* of a flat kernel (:meth:`NativeHAIndex.view`,
 what :meth:`DynamicHAIndex.compile_native` returns): it shares every
 array of the kernel :meth:`DynamicHAIndex.compile` caches, so one
 flatten serves both planes.
 
-The plane degrades transparently:
+The numpy primitive answers instead, per call, when
 
-* no working compiled tier (``REPRO_NATIVE=numpy``, no C compiler) →
-  every call runs the inherited numpy sweeps;
-* multi-word codes (length > 64) → numpy sweeps (the compiled kernel
-  is single-word);
-* active tracing → the instrumented numpy sweeps, so per-level
-  ``h_search.level`` spans keep their exact op attribution.
+* no compiled tier works (``REPRO_NATIVE=numpy``, no C compiler);
+* codes are wider than 64 bits (the compiled kernel is single-word);
+* a trace is open, so per-level ``h_search.level`` spans keep their
+  exact op attribution.
 
 Native execution state is created lazily and never pickled: kernels
 shipped into process pools (the parallel join path) or restored from
@@ -38,12 +37,7 @@ import numpy as np
 
 from repro.core import native
 from repro.core.flat_ha import FlatHAIndex
-from repro.obs import note_search
 from repro.obs.trace import tracing
-
-#: Compiled sweep emission modes (must match the kernel source).
-_MODE_IDS = 0
-_MODE_LEAF_POSITIONS = 1
 
 
 class NativeHAIndex(FlatHAIndex):
@@ -87,189 +81,13 @@ class NativeHAIndex(FlatHAIndex):
             self._native_state = native.make_state(self)
         return self._native_state
 
-    # -- single-query entry points ---------------------------------------
-
-    def search(self, query: int, threshold: int) -> list[int]:
+    def _sweep_batch(
+        self, queries: Sequence[int], threshold: int, mode: int
+    ) -> tuple[np.ndarray, list[int], int]:
         state = self._route()
         if state is None:
-            return super().search(query, threshold)
-        self._require_ids()
-        self._check_query(query, threshold)
-        clamped = min(threshold, self._code_length)
-        ids, ops = state.sweep(query, clamped, _MODE_IDS)
-        self.last_search_ops = ops + len(self._buf_codes)
-        results = ids.tolist()
-        if self._buf_ids.size:
-            near = (
-                self._buffer_distances(self._query_words(query))
-                <= threshold
-            )
-            results.extend(self._buf_ids[near].tolist())
-        note_search(self.ENGINE_LABEL, self.last_search_ops)
-        return results
-
-    def search_codes(self, query: int, threshold: int) -> list[int]:
-        state = self._route()
-        if state is None:
-            return super().search_codes(query, threshold)
-        self._check_query(query, threshold)
-        clamped = min(threshold, self._code_length)
-        positions, ops = state.sweep(query, clamped, _MODE_LEAF_POSITIONS)
-        self.last_search_ops = ops + len(self._buf_codes)
-        codes = self._codes_from_positions(
-            self._query_words(query), positions, threshold
-        )
-        note_search(self.ENGINE_LABEL, self.last_search_ops)
-        return codes
-
-    def search_with_distances(
-        self, query: int, threshold: int
-    ) -> list[tuple[int, int]]:
-        state = self._route()
-        if state is None:
-            return super().search_with_distances(query, threshold)
-        self._require_ids()
-        self._check_query(query, threshold)
-        clamped = min(threshold, self._code_length)
-        positions, ops = state.sweep(query, clamped, _MODE_LEAF_POSITIONS)
-        self.last_search_ops = ops + len(self._buf_codes)
-        note_search(self.ENGINE_LABEL, self.last_search_ops)
-        return self._pairs_from_positions(
-            self._query_words(query), positions, threshold
-        )
-
-    def count_within(self, query: int, threshold: int) -> int:
-        state = self._route()
-        if state is None:
-            return super().count_within(query, threshold)
-        self._check_query(query, threshold)
-        count = 0
-        if self._buf_ids.size:
-            count += int(
-                (
-                    self._buffer_distances(self._query_words(query))
-                    <= threshold
-                ).sum()
-            )
-        return count + state.count(query, min(threshold, self._code_length))
-
-    def contains_within(self, query: int, threshold: int) -> bool:
-        state = self._route()
-        if state is None:
-            return super().contains_within(query, threshold)
-        self._check_query(query, threshold)
-        if self._buf_ids.size and bool(
-            (
-                self._buffer_distances(self._query_words(query))
-                <= threshold
-            ).any()
-        ):
-            return True
-        return state.contains(query, min(threshold, self._code_length))
-
-    # -- batched entry points --------------------------------------------
-
-    def _batch_inputs(self, queries: Sequence[int], threshold: int):
-        queries = list(queries)
-        for query in queries:
-            self._check_query(query, threshold)
-        qarr = np.array(queries, dtype=np.uint64)
-        return queries, qarr
-
-    def search_batch(
-        self, queries: Sequence[int], threshold: int
-    ) -> list[list[int]]:
-        state = self._route()
-        if state is None:
-            return super().search_batch(queries, threshold)
-        self._require_ids()
-        queries, qarr = self._batch_inputs(queries, threshold)
-        if not queries:
-            return []
-        batch = len(queries)
-        ids, counts, ops = state.sweep_batch(
-            qarr, min(threshold, self._code_length), _MODE_IDS
-        )
-        self.last_search_ops = ops + len(self._buf_codes) * batch
-        chunks = np.split(ids, np.cumsum(counts)[:-1])
-        near = self._batch_buffer_matches(qarr.reshape(-1, 1), threshold)
-        if near is None:
-            results = [chunk.tolist() for chunk in chunks]
-        else:
-            results = []
-            for column, chunk in enumerate(chunks):
-                merged = chunk.tolist()
-                merged.extend(self._buf_ids[near[:, column]].tolist())
-                results.append(merged)
-        note_search(self.ENGINE_LABEL, self.last_search_ops, queries=batch)
-        return results
-
-    def search_batch_arrays(
-        self, queries: Sequence[int], threshold: int
-    ) -> list[np.ndarray]:
-        state = self._route()
-        if state is None:
-            return super().search_batch_arrays(queries, threshold)
-        self._require_ids()
-        queries, qarr = self._batch_inputs(queries, threshold)
-        if not queries:
-            return []
-        batch = len(queries)
-        ids, counts, ops = state.sweep_batch(
-            qarr, min(threshold, self._code_length), _MODE_IDS
-        )
-        self.last_search_ops = ops + len(self._buf_codes) * batch
-        chunks = np.split(ids, np.cumsum(counts)[:-1])
-        near = self._batch_buffer_matches(qarr.reshape(-1, 1), threshold)
-        if near is not None:
-            chunks = [
-                np.concatenate([chunk, self._buf_ids[near[:, column]]])
-                for column, chunk in enumerate(chunks)
-            ]
-        note_search(self.ENGINE_LABEL, self.last_search_ops, queries=batch)
-        return chunks
-
-    def search_codes_batch(
-        self, queries: Sequence[int], threshold: int
-    ) -> list[list[int]]:
-        state = self._route()
-        if state is None:
-            return super().search_codes_batch(queries, threshold)
-        queries, qarr = self._batch_inputs(queries, threshold)
-        if not queries:
-            return []
-        batch = len(queries)
-        positions, counts, ops = state.sweep_batch(
-            qarr, min(threshold, self._code_length), _MODE_LEAF_POSITIONS
-        )
-        self.last_search_ops = ops + len(self._buf_codes) * batch
-        per_query = np.split(positions, np.cumsum(counts)[:-1])
-        near = self._batch_buffer_matches(qarr.reshape(-1, 1), threshold)
-        note_search(self.ENGINE_LABEL, self.last_search_ops, queries=batch)
-        return self._batch_codes_from_positions(per_query, near)
-
-    def search_with_distances_batch(
-        self, queries: Sequence[int], threshold: int
-    ) -> list[list[tuple[int, int]]]:
-        state = self._route()
-        if state is None:
-            return super().search_with_distances_batch(queries, threshold)
-        self._require_ids()
-        queries, qarr = self._batch_inputs(queries, threshold)
-        if not queries:
-            return []
-        batch = len(queries)
-        positions, counts, ops = state.sweep_batch(
-            qarr, min(threshold, self._code_length), _MODE_LEAF_POSITIONS
-        )
-        self.last_search_ops = ops + len(self._buf_codes) * batch
-        position_owners = np.repeat(
-            np.arange(batch, dtype=np.int64), counts
-        )
-        return self._batch_pairs(
-            qarr.reshape(-1, 1), positions, position_owners,
-            batch, threshold,
-        )
+            return super()._sweep_batch(queries, threshold, mode)
+        return state.sweep(queries, threshold, mode)
 
     # -- HammingIndex contract -------------------------------------------
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.bitvector import CodeSet
 from repro.core.errors import InvalidParameterError
-from repro.core.flat_ha import FlatHAIndex, _expand_ranges
+from repro.core.flat_ha import MODE_POSITIONS, FlatHAIndex, _expand_ranges
 from repro.core.index_base import HammingIndex, IndexStats
 from repro.obs import maybe_trace, note_search
 from repro.obs.trace import record_span, trace_span
@@ -528,7 +528,8 @@ class WeightedHammingIndex(HammingIndex):
         return np.empty(0, dtype=np.int64), ops
 
     def _candidate_positions(
-        self, flat: FlatHAIndex, qwords: np.ndarray, t_scaled: int
+        self, flat: FlatHAIndex, query: int, qwords: np.ndarray,
+        t_scaled: int,
     ) -> tuple[np.ndarray, int, str]:
         """Leaf positions whose codes may match, + sweep ops + strategy."""
         strategy = self._resolved_strategy()
@@ -537,16 +538,17 @@ class WeightedHammingIndex(HammingIndex):
             record_span(
                 "weighted.sweep", 0.0, ops=ops, strategy=strategy
             )
-        else:
-            radius = self._weights.implied_radius(
-                t_scaled / SCALE, self._code_length
+            lo = flat._leaf_lo[taken]
+            return _expand_ranges(lo, flat._leaf_hi[taken] - lo), ops, strategy
+        radius = self._weights.implied_radius(
+            t_scaled / SCALE, self._code_length
+        )
+        # The flat sweep emits its own per-level spans when traced;
+        # nest them (ops=0 here) so weighted.* totals stay exact.
+        with trace_span("weighted.sweep", strategy=strategy):
+            positions, _, ops = flat._sweep_batch(
+                [query], radius, MODE_POSITIONS
             )
-            # The flat sweep emits its own per-level spans when traced;
-            # nest them (ops=0 here) so weighted.* totals stay exact.
-            with trace_span("weighted.sweep", strategy=strategy):
-                taken, ops = flat._sweep(qwords, radius)
-        lo = flat._leaf_lo[taken]
-        positions = _expand_ranges(lo, flat._leaf_hi[taken] - lo)
         return positions, ops, strategy
 
     def _search_scaled(
@@ -561,9 +563,9 @@ class WeightedHammingIndex(HammingIndex):
         """
         flat = self._flat()
         lanes = self._lanes(flat)
-        qwords = flat._query_words(query)
+        qwords = flat._pack([query])
         positions, sweep_ops, strategy = self._candidate_positions(
-            flat, qwords, t_scaled
+            flat, query, qwords, t_scaled
         )
         id_parts: list[np.ndarray] = []
         dist_parts: list[np.ndarray] = []
@@ -696,7 +698,7 @@ class WeightedHammingIndex(HammingIndex):
         target = min(k, len(self._inner))
         flat = self._flat()
         lanes = self._lanes(flat)
-        qwords = flat._query_words(query)
+        qwords = flat._pack([query])
         floor = self._weights.min_scaled
         length = self._code_length
         radius = min(_KNN_INITIAL, length)
@@ -705,9 +707,9 @@ class WeightedHammingIndex(HammingIndex):
             # Nest the flat sweep's own per-level spans (ops=0 here) so
             # the weighted.* span totals still sum to last_search_ops.
             with trace_span("weighted.sweep", strategy="rerank"):
-                taken, sweep_ops = flat._sweep(qwords, radius)
-            lo = flat._leaf_lo[taken]
-            positions = _expand_ranges(lo, flat._leaf_hi[taken] - lo)
+                positions, _, sweep_ops = flat._sweep_batch(
+                    [query], radius, MODE_POSITIONS
+                )
             id_parts: list[np.ndarray] = []
             dist_parts: list[np.ndarray] = []
             if positions.size:
@@ -734,7 +736,7 @@ class WeightedHammingIndex(HammingIndex):
                 buf_scaled = weighted_popcount(
                     flat._buf_words ^ qwords, lanes
                 )
-                buf_hamming = flat._buffer_distances(qwords)
+                buf_hamming = flat._buffer_distances(qwords)[:, 0]
                 near = buf_hamming <= radius
                 id_parts.append(flat._buf_ids[near])
                 dist_parts.append(buf_scaled[near])

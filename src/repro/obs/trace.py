@@ -14,9 +14,9 @@ thread**.  Every instrumentation site first calls :func:`tracing`,
 which is a single thread-local attribute probe; with no open trace the
 hot paths fall through to their uninstrumented loops, keeping the
 disabled overhead below the 2% budget recorded in
-``docs/observability.md``.  The heavyweight traced variants of the
-engine walks (per-level attribution) are separate code paths selected
-by that probe, never conditionals inside the hot loops.
+``docs/observability.md``.  The engine walks read that probe once per
+query and test it once per level for their per-level attribution,
+never inside the per-node loops.
 """
 
 from __future__ import annotations
@@ -39,7 +39,15 @@ __all__ = [
     "render_span_tree",
 ]
 
-_tls = threading.local()
+
+class _Local(threading.local):
+    # A class-level default keeps the probe of a thread that never
+    # traced off getattr's missing-attribute path, which costs several
+    # times the hit.
+    stack: "list[Span] | None" = None
+
+
+_tls = _Local()
 _last_lock = threading.Lock()
 _last_trace: "Span | None" = None
 
@@ -129,7 +137,7 @@ class Span:
 
 
 def _stack() -> list[Span]:
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     if stack is None:
         stack = _tls.stack = []
     return stack
@@ -141,18 +149,18 @@ def tracing() -> bool:
     This is the guard every instrumentation site checks before doing
     any collection work; it must stay a single attribute probe.
     """
-    return bool(getattr(_tls, "stack", None))
+    return bool(_tls.stack)
 
 
 def current_span() -> Span | None:
     """The innermost open span of this thread's trace, or ``None``."""
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     return stack[-1] if stack else None
 
 
 def add_ops(amount: int) -> None:
     """Attribute ops to the innermost open span (no-op when idle)."""
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     if stack:
         stack[-1].ops += amount
 
@@ -233,7 +241,7 @@ def trace(name: str, **attrs: object):
 
 def trace_span(name: str, ops: int = 0, **attrs: object):
     """Open a child span if a trace is active; no-op otherwise."""
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     if not stack:
         return _NOOP_CONTEXT
     span = Span(name, dict(attrs) if attrs else None)
@@ -267,7 +275,7 @@ def attach_span(span: Span) -> bool:
     Returns False (and drops nothing but the attachment) when no trace
     is open on the current thread.
     """
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     if not stack:
         return False
     stack[-1].children.append(span)
@@ -285,7 +293,7 @@ def record_span(
     that case so renderers can flag it).  Returns the span, or ``None``
     when no trace is open.
     """
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     if not stack:
         return None
     span = Span(name, dict(attrs) if attrs else None)

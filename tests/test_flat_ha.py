@@ -133,8 +133,9 @@ class TestEquivalence:
         assert sorted(flat.search(7, 0)) == [10, 11, 12]
         assert flat.count_within(9, 0) == 2
 
-    def test_empty_index(self):
-        flat = DynamicHAIndex.build(CodeSet([], 16)).compile()
+    @pytest.mark.parametrize("plane", ["compile", "compile_native"])
+    def test_empty_index(self, plane):
+        flat = getattr(DynamicHAIndex.build(CodeSet([], 16)), plane)()
         assert flat.search(0, 8) == []
         assert flat.search_batch([0, 1], 4) == [[], []]
         assert flat.count_within(0, 8) == 0
@@ -217,10 +218,11 @@ class TestCompileLifecycle:
         with pytest.raises(IndexStateError):
             flat.delete(1, 1)
 
-    def test_keep_ids_false(self):
+    @pytest.mark.parametrize("plane", ["compile", "compile_native"])
+    def test_keep_ids_false(self, plane):
         codes = _clustered(400, 32, seed=3)
         stripped = DynamicHAIndex.build(codes).strip_ids()
-        flat = stripped.compile()
+        flat = getattr(stripped, plane)()
         query = codes[0]
         with pytest.raises(IndexStateError):
             flat.search(query, 2)

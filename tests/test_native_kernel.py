@@ -15,12 +15,14 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import native
 from repro.core.bitvector import CodeSet
 from repro.core.dynamic_ha import DynamicHAIndex
 from repro.core.engines import build_index, get_engine
+from repro.core.errors import InvalidParameterError
 from repro.core.knn import knn_select
 from repro.core.native_ha import NativeHAIndex
 
@@ -171,6 +173,45 @@ class TestNativeIndexLifecycle:
         assert sorted(nat.search(query, 2)) == sorted(
             DynamicHAIndex.build(codes).search(query, 2)
         )
+
+
+class TestSharedFront:
+    """Both tiers answer through one front above the sweep primitive."""
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_non_integer_inputs_raise_typed_error(self, backend):
+        codes = _corpus(16)
+        nat = DynamicHAIndex.build(codes).compile_native()
+        query = codes.codes[0]
+        calls = [
+            lambda: nat.search(query, 2.0),
+            lambda: nat.search_batch([query], 2.0),
+            lambda: nat.count_within(query, 2.0),
+            lambda: nat.contains_within(query, 2.0),
+            lambda: nat.search_with_distances(float(query), 2),
+            lambda: nat.search_codes_batch([query, "1"], 2),
+        ]
+        with native.force_backend(backend):
+            for call in calls:
+                with pytest.raises(InvalidParameterError):
+                    call()
+            # Integer-likes still answer, exactly as plain ints do.
+            assert nat.search(np.uint64(query), np.int64(2)) == nat.search(
+                query, 2
+            )
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_count_and_probe_leave_last_search_ops(self, backend):
+        codes = _corpus(17)
+        nat = DynamicHAIndex.build(codes).compile_native()
+        query = codes.codes[0]
+        with native.force_backend(backend):
+            nat.search(query, 3)
+            ops = nat.last_search_ops
+            assert ops > 0
+            assert nat.count_within(query, 6) >= 1
+            assert nat.contains_within(query ^ 1, 2)
+            assert nat.last_search_ops == ops
 
 
 class TestBatchCapacity:
