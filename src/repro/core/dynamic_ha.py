@@ -34,8 +34,10 @@ from typing import Iterable, Sequence
 
 from repro.core.bitvector import CodeSet
 from repro.core.errors import IndexStateError, InvalidParameterError
+from repro.core.flat_ha import FlatHAIndex
 from repro.core.gray import gray_rank
 from repro.core.index_base import HammingIndex, IndexStats
+from repro.core.native_ha import NativeHAIndex
 from repro.core.pattern import MaskedPattern, common_of_patterns
 from repro.obs import note_search
 from repro.obs.trace import record_span, trace_span, tracing
@@ -531,8 +533,6 @@ class DynamicHAIndex(HammingIndex):
         that keeps batched serving viable under buffered-write traffic.
         ``force=True`` recompiles unconditionally.
         """
-        from repro.core.flat_ha import FlatHAIndex
-
         cached = self._compiled
         if not force and cached is not None:
             if self._compiled_mutations == self.mutation_count:
@@ -555,8 +555,6 @@ class DynamicHAIndex(HammingIndex):
         (:mod:`repro.core.native`), with the numpy path as automatic
         fallback.
         """
-        from repro.core.native_ha import NativeHAIndex
-
         return NativeHAIndex.view(self.compile(force))
 
     def search_batch(

@@ -23,12 +23,16 @@ def to_gray(value: int) -> int:
 
 
 def from_gray(gray: int) -> int:
-    """Inverse of :func:`to_gray` — the rank of ``gray`` in Gray order."""
-    value = 0
-    while gray:
-        value ^= gray
-        gray >>= 1
-    return value
+    """Inverse of :func:`to_gray` — the rank of ``gray`` in Gray order.
+
+    The rank is the prefix XOR of the code's bits, taken in
+    ``log2(bit length)`` doubling shifts.
+    """
+    shift, width = 1, gray.bit_length()
+    while shift < width:
+        gray ^= gray >> shift
+        shift <<= 1
+    return gray
 
 
 def gray_rank(code: int) -> int:
@@ -61,12 +65,28 @@ def gray_rank_array(packed: np.ndarray) -> np.ndarray:
     The inverse Gray transform is a parallel prefix XOR, computed here with
     log2(64) shift/XOR rounds.
     """
-    ranks = packed.astype(np.uint64).copy()
+    ranks = packed.astype(np.uint64)
     shift = np.uint64(1)
     while shift < np.uint64(64):
         ranks ^= ranks >> shift
         shift <<= np.uint64(1)
     return ranks
+
+
+def gray_ranks(codes: Sequence[int]) -> np.ndarray:
+    """Gray ranks of many codes, in input order.
+
+    Codes of at most 64 bits are ranked in one vectorized
+    :func:`gray_rank_array` pass (a ``uint64`` array comes back).  A
+    sequence holding any wider code is ranked by :func:`gray_rank`, code
+    by code, into an ``object`` array, which sorts and searches the
+    same way.
+    """
+    try:
+        packed = np.asarray(codes, dtype=np.uint64)
+    except OverflowError:
+        return np.array([gray_rank(code) for code in codes], dtype=object)
+    return gray_rank_array(packed)
 
 
 def adjacent_hamming_distances(sorted_codes: Iterable[int]) -> list[int]:

@@ -79,6 +79,8 @@ def knn_select(
         native = getattr(index, "knn_search", None)
         if native is not None:
             return native(query, k)
+        # Weighted distances may exceed the code length.
+        cap = max(index.code_length, getattr(index, "knn_threshold_cap", 0))
         while True:
             with trace_span(
                 "knn.round", threshold=threshold
@@ -87,12 +89,10 @@ def knn_select(
                     index, query, threshold
                 )
                 round_span.annotate(matches=len(matches))
-            if len(matches) >= target or threshold >= index.code_length:
+            if len(matches) >= target or threshold >= cap:
                 matches.sort(key=lambda pair: (pair[1], pair[0]))
                 return matches[:k]
-            threshold = min(
-                threshold + threshold_step, index.code_length
-            )
+            threshold = min(threshold + threshold_step, cap)
 
 
 def knn_select_batch(
@@ -137,6 +137,7 @@ def knn_select_batch(
             for query in queries
         ]
     target = min(k, len(index))
+    cap = max(index.code_length, getattr(index, "knn_threshold_cap", 0))
     results: list[list[tuple[int, int]] | None] = [None] * len(queries)
     pending = list(range(len(queries)))
     threshold = initial_threshold
@@ -151,18 +152,13 @@ def knn_select_batch(
                 round_span.annotate(queries=len(pending))
             still: list[int] = []
             for position, matches in zip(pending, match_lists):
-                if (
-                    len(matches) >= target
-                    or threshold >= index.code_length
-                ):
+                if len(matches) >= target or threshold >= cap:
                     matches.sort(key=lambda pair: (pair[1], pair[0]))
                     results[position] = matches[:k]
                 else:
                     still.append(position)
             pending = still
-            threshold = min(
-                threshold + threshold_step, index.code_length
-            )
+            threshold = min(threshold + threshold_step, cap)
     return results  # type: ignore[return-value]
 
 

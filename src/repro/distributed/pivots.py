@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.bitvector import CodeSet
 from repro.core.errors import InvalidParameterError
-from repro.core.gray import gray_rank
+from repro.core.gray import gray_rank, gray_ranks
 from repro.mapreduce.partitioner import RangePartitioner
 
 
@@ -33,12 +35,11 @@ def select_pivots(
         raise InvalidParameterError("num_partitions must be positive")
     if not sample_codes:
         raise InvalidParameterError("cannot select pivots from no codes")
-    ranks = sorted(gray_rank(code) for code in sample_codes)
-    pivots = []
-    for boundary in range(1, num_partitions):
-        position = boundary * len(ranks) // num_partitions
-        pivots.append(ranks[min(position, len(ranks) - 1)])
-    return pivots
+    ranks = np.sort(gray_ranks(sample_codes))
+    return [
+        int(ranks[min(boundary * len(ranks) // num_partitions, len(ranks) - 1)])
+        for boundary in range(1, num_partitions)
+    ]
 
 
 def gray_range_partitioner(pivots: Sequence[int]) -> RangePartitioner:
@@ -60,15 +61,26 @@ def split_by_pivots(
     holding the tuples whose Gray rank falls in the corresponding pivot
     range — the dataset split the sharded serving plane and the
     MapReduce reducers both consume.  Tuple ids ride along, and within
-    a shard the original order is preserved (stable split).
+    a shard the original order is preserved (stable split).  Codes are
+    ranked in one vectorized pass and routed as
+    :class:`~repro.mapreduce.partitioner.RangePartitioner` routes one
+    rank (``bisect_right`` over the pivots).
     """
-    partitioner = gray_range_partitioner(pivots)
-    buckets: list[list[int]] = [
-        [] for _ in range(partitioner.num_partitions)
+    pivots = gray_range_partitioner(pivots).pivots
+    if not pivots:
+        return [codes]
+    ranks = gray_ranks(codes.codes)
+    try:
+        bounds = np.asarray(pivots, dtype=ranks.dtype)
+    except OverflowError:  # a pivot outside the uint64 rank space
+        bounds, ranks = np.asarray(pivots, dtype=object), ranks.astype(object)
+    shard_of = np.searchsorted(bounds, ranks, side="right")
+    order = np.argsort(shard_of, kind="stable")
+    cuts = np.searchsorted(shard_of[order], np.arange(len(pivots) + 2))
+    return [
+        codes.subset(order[lo:hi].tolist())
+        for lo, hi in zip(cuts.tolist(), cuts[1:].tolist())
     ]
-    for position, code in enumerate(codes.codes):
-        buckets[partition_of(code, partitioner)].append(position)
-    return [codes.subset(indices) for indices in buckets]
 
 
 def partition_balance(counts: Sequence[int]) -> float:

@@ -37,13 +37,11 @@ from repro.service.planner import (
     ShardPlan,
     min_hamming_to_gray_range,
 )
-from repro.service.server import (
-    HammingQueryService,
-    QUERY_KINDS,
-    ServedResult,
-)
+from repro.service.server import HammingQueryService
 from repro.service.sharded import (
+    QUERY_KINDS,
     ReplicaFaultPlan,
+    ServedResult,
     ShardStats,
     ShardedQueryService,
 )

@@ -1,8 +1,9 @@
 """Parallel scatter executors for the sharded serving plane.
 
-:class:`~repro.service.sharded.ShardedQueryService` plans which shards
-a query must visit; *this* module decides how the surviving shard
-operations actually run.  Three interchangeable backends share one
+The service core (:class:`~repro.service.sharded.ShardedQueryService`)
+plans which shards a query must visit; *this* module decides how the
+surviving shard operations actually run, each on the shard's
+:func:`served_plane`.  Three interchangeable backends share one
 contract — ``scatter(tasks, dispatch)`` returns the per-task values in
 task order, byte-identical across backends:
 
@@ -79,7 +80,6 @@ from repro.obs.trace import (
     trace_span,
     tracing,
 )
-from repro.service.server import served_plane
 
 __all__ = [
     "POOL_KINDS",
@@ -90,6 +90,7 @@ __all__ = [
     "ProcessShardExecutor",
     "make_executor",
     "default_pool_workers",
+    "served_plane",
 ]
 
 #: Accepted ``pool=`` values, CLI order.
@@ -99,6 +100,22 @@ POOL_KINDS = ("serial", "thread", "process")
 #: any shard, letting the timeout/fallback path be exercised
 #: deterministically (``tests/test_shard_executor.py``).
 _TEST_SLEEP_OP = "_pool_test_sleep"
+
+
+def served_plane(index):
+    """The query plane that answers reads of ``index``.
+
+    The compiled native view (``compile_native()``) when the index has
+    one, else its ``compile()`` result (the weighted engine returns
+    itself with its kernel warm), else the index itself.  Both compile
+    caches are keyed by the index's mutation count, so live
+    insert/delete traffic is never answered by a stale plane.
+    """
+    for name in ("compile_native", "compile"):
+        compile_plane = getattr(index, name, None)
+        if compile_plane is not None:
+            return compile_plane()
+    return index
 
 
 class ShardTask:
@@ -161,6 +178,49 @@ def modelled_wall(durations: Sequence[float], width: int) -> float:
     return max(heads)
 
 
+def route_around_faults(
+    candidates: list,
+    faults,
+    accounting,
+    sid: int,
+    op: str,
+    context: tuple,
+    ident: Callable[[object], int] = lambda candidate: candidate,
+):
+    """The candidate one dispatch goes to, once the fault plan has spoken.
+
+    ``candidates`` come best first (least outstanding work).  A
+    straggling first choice is hedged to the back of the list, and
+    candidates the plan marks down (``ident`` names them to it) are
+    failed over — except the last, which is always eligible, so
+    injected faults change routing, never results.  Hedges and
+    failovers are counted on ``accounting`` (when given) and in the
+    registry.
+    """
+    if faults is None:
+        return candidates[0]
+    if len(candidates) > 1 and faults.primary_straggles(sid, op, *context):
+        candidates = candidates[1:] + candidates[:1]
+        if accounting is not None:
+            accounting.record_hedge()
+        if REGISTRY.enabled:
+            REGISTRY.counter(
+                "shard_hedged_total",
+                "dispatches hedged away from a slow primary",
+            ).inc()
+    for candidate in candidates[:-1]:
+        if not faults.replica_down(sid, ident(candidate), op, *context):
+            return candidate
+        if accounting is not None:
+            accounting.record_failover()
+        if REGISTRY.enabled:
+            REGISTRY.counter(
+                "shard_failover_total",
+                "dispatches failed over to another replica",
+            ).inc()
+    return candidates[-1]
+
+
 class ShardExecutor:
     """Counter plumbing shared by every backend."""
 
@@ -201,18 +261,21 @@ class ShardExecutor:
         with self._counter_lock:
             return self.busy_seconds, self.critical_seconds
 
-    def _record_scatter_seconds(self, durations: Sequence[float]) -> None:
-        if not durations:
-            return
-        width = self.model_width or self.workers or 1
-        wall = modelled_wall(durations, width)
-        with self._counter_lock:
-            self.busy_seconds += sum(durations)
-            self.critical_seconds += wall
-
-    def _count_tasks(self, amount: int) -> None:
+    def _account(
+        self, amount: int = 0, durations: Sequence[float] = ()
+    ) -> None:
+        """Count ``amount`` dispatched tasks and, when given, one
+        scatter's measured task seconds."""
+        busy = wall = 0.0
+        if durations:
+            busy = sum(durations)
+            wall = modelled_wall(
+                durations, self.model_width or self.workers or 1
+            )
         with self._counter_lock:
             self.tasks += amount
+            self.busy_seconds += busy
+            self.critical_seconds += wall
         if REGISTRY.enabled and amount:
             REGISTRY.counter(
                 "shard_pool_tasks_total",
@@ -271,7 +334,6 @@ class SerialExecutor(ShardExecutor):
         tasks: Sequence[ShardTask],
         dispatch: Callable[[ShardTask], object],
     ) -> list:
-        self._count_tasks(len(tasks))
         results = []
         durations = []
         for task in tasks:
@@ -284,7 +346,7 @@ class SerialExecutor(ShardExecutor):
                 started = time.perf_counter()
                 results.append(dispatch(task))
                 durations.append(time.perf_counter() - started)
-        self._record_scatter_seconds(durations)
+        self._account(len(tasks), durations)
         return results
 
 
@@ -325,7 +387,7 @@ class ThreadShardExecutor(ShardExecutor):
     ) -> list:
         if not tasks:
             return []
-        self._count_tasks(len(tasks))
+        self._account(len(tasks))
         capture = tracing()
 
         def run(task: ShardTask):
@@ -371,7 +433,7 @@ class ThreadShardExecutor(ShardExecutor):
                 attach_span(span)
             results.append(value)
             durations.append(elapsed)
-        self._record_scatter_seconds(durations)
+        self._account(durations=durations)
         return results
 
     def close(self) -> None:
@@ -596,27 +658,23 @@ class ProcessShardExecutor(ShardExecutor):
         return sum(1 for worker in self._pool if worker.alive)
 
     def _spawn(self) -> None:
-        specs, scratch = self._spec_factory()
-        self._scratch = scratch
-        pool = []
-        for index in range(self._workers_wanted):
-            parent_conn, child_conn = self._ctx.Pipe()
-            process = self._ctx.Process(
-                target=_pool_worker_main,
-                args=(
-                    child_conn,
-                    {
-                        "specs": specs,
-                        "worker": index,
-                    },
-                ),
-                daemon=True,
-                name=f"repro-shard-{index}",
-            )
-            process.start()
-            child_conn.close()
-            pool.append(_Worker(index, process, parent_conn))
-        self._pool = pool
+        specs, self._scratch = self._spec_factory()
+        self._pool = [
+            self._start(index, specs)
+            for index in range(self._workers_wanted)
+        ]
+
+    def _start(self, index: int, specs: dict) -> _Worker:
+        parent_conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=_pool_worker_main,
+            args=(child_conn, {"specs": specs, "worker": index}),
+            daemon=True,
+            name=f"repro-shard-{index}",
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(index, process, parent_conn)
 
     # -- placement ---------------------------------------------------------
 
@@ -628,36 +686,15 @@ class ProcessShardExecutor(ShardExecutor):
         )
         if not candidates:
             return None
-        faults = self._faults
-        if faults is not None and len(candidates) > 1:
-            if faults.primary_straggles(task.sid, task.op, *task.context):
-                candidates = candidates[1:] + candidates[:1]
-                if self._accounting is not None:
-                    self._accounting.record_hedge()
-                if REGISTRY.enabled:
-                    REGISTRY.counter(
-                        "shard_hedged_total",
-                        "dispatches hedged away from a slow primary",
-                    ).inc()
-        for position, worker in enumerate(candidates):
-            last = position == len(candidates) - 1
-            if (
-                not last
-                and faults is not None
-                and faults.replica_down(
-                    task.sid, worker.index, task.op, *task.context
-                )
-            ):
-                if self._accounting is not None:
-                    self._accounting.record_failover()
-                if REGISTRY.enabled:
-                    REGISTRY.counter(
-                        "shard_failover_total",
-                        "dispatches failed over to another replica",
-                    ).inc()
-                continue
-            return worker
-        return candidates[-1]
+        return route_around_faults(
+            candidates,
+            self._faults,
+            self._accounting,
+            task.sid,
+            task.op,
+            task.context,
+            ident=lambda worker: worker.index,
+        )
 
     def _kill(self, worker: _Worker) -> None:
         worker.alive = False
@@ -679,7 +716,7 @@ class ProcessShardExecutor(ShardExecutor):
     ) -> list:
         if not tasks:
             return []
-        self._count_tasks(len(tasks))
+        self._account(len(tasks))
         capture = tracing()
         results: list = [None] * len(tasks)
         spans: list[dict | None] = [None] * len(tasks)
@@ -797,7 +834,7 @@ class ProcessShardExecutor(ShardExecutor):
                 started = time.perf_counter()
                 results[position] = dispatch(task)
                 durations.append(time.perf_counter() - started)
-        self._record_scatter_seconds(durations)
+        self._account(durations=durations)
         return results
 
     # -- coherence / lifecycle ---------------------------------------------
@@ -830,26 +867,8 @@ class ProcessShardExecutor(ShardExecutor):
             except (OSError, ValueError):
                 self._kill(worker)
         for position, worker in enumerate(self._pool):
-            if worker.alive:
-                continue
-            parent_conn, child_conn = self._ctx.Pipe()
-            process = self._ctx.Process(
-                target=_pool_worker_main,
-                args=(
-                    child_conn,
-                    {
-                        "specs": specs,
-                        "worker": worker.index,
-                    },
-                ),
-                daemon=True,
-                name=f"repro-shard-{worker.index}",
-            )
-            process.start()
-            child_conn.close()
-            self._pool[position] = _Worker(
-                worker.index, process, parent_conn
-            )
+            if not worker.alive:
+                self._pool[position] = self._start(worker.index, specs)
         if old_scratch and old_scratch != scratch:
             shutil.rmtree(old_scratch, ignore_errors=True)
 

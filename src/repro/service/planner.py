@@ -52,7 +52,9 @@ bound bite: shards owning other clusters sit far away in Gray-rank
 space and are pruned for small ``h``.
 
 When every (non-empty) shard passes the bound the plan degenerates to a
-broadcast — the explicit fallback for vacuous bounds.
+broadcast — the explicit fallback for vacuous bounds.  A one-shard map
+(the single-index service) computes no bound at all: its one shard is
+contacted by every query.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.errors import InvalidParameterError
-from repro.core.gray import gray_rank, to_gray
+from repro.core.gray import gray_rank, gray_ranks, to_gray
 from repro.mapreduce.partitioner import RangePartitioner
 
 
@@ -157,6 +159,10 @@ class ShardPlan:
     broadcast: bool
 
 
+#: The plan of every query on a one-shard map.
+_ONE_SHARD = ShardPlan(contacted=(0,), pruned=0, broadcast=True)
+
+
 class ScatterGatherPlanner:
     """Routes codes to shards and prunes shards per query.
 
@@ -229,45 +235,16 @@ class ScatterGatherPlanner:
                 self._plan_memo.clear()
 
     def reset_range(self, shard: int, codes: Sequence[int]) -> None:
-        """Recompute the occupied range exactly from the shard's codes."""
-        if not codes:
-            self._occupied[shard] = None
-            self._plan_memo.clear()
-            return
-        ranks = [gray_rank(code) for code in codes]
-        self._occupied[shard] = (min(ranks), max(ranks))
+        """Recompute the occupied range exactly from the shard's codes
+        (ranked in one vectorized pass)."""
+        occupied = None
+        if len(codes):
+            ranks = gray_ranks(codes)
+            occupied = (int(ranks.min()), int(ranks.max()))
+        self._occupied[shard] = occupied
         self._plan_memo.clear()
 
     # -- pruning (reads) ---------------------------------------------------
-
-    def min_distance(
-        self, shard: int, query: int, limit: int | None = None
-    ) -> int:
-        """Exact lower bound on ``hamming(c, query)`` over the shard's
-        possible codes; ``code_length + 1`` for an empty shard.
-
-        ``limit`` switches to decision mode, exactly as documented on
-        :func:`min_hamming_to_gray_range`.
-        """
-        occupied = self._occupied[shard]
-        if occupied is None:
-            return self._code_length + 1
-        low, high = occupied
-        return min_hamming_to_gray_range(
-            query, self._code_length, low, high, limit
-        )
-
-    def _min_distance_ranked(
-        self, shard: int, query: int, rank: int, limit: int
-    ) -> int:
-        """:meth:`min_distance` with the query rank precomputed."""
-        occupied = self._occupied[shard]
-        if occupied is None:
-            return self._code_length + 1
-        low, high = occupied
-        return min_hamming_to_gray_range(
-            query, self._code_length, low, high, limit, _query_rank=rank
-        )
 
     def plan(self, query: int, threshold: int) -> ShardPlan:
         """Shards that may hold codes within ``threshold`` of ``query``.
@@ -276,8 +253,12 @@ class ScatterGatherPlanner:
         exceed the threshold; when no shard can be excluded the plan is
         flagged as a broadcast (the vacuous-bound fallback).  Plans are
         memoized until any occupied range changes (the serving layer
-        re-plans on every cache lookup, so the memo is the hot path).
+        re-plans every batch, so the memo is the hot path).  A single
+        shard has nothing to prune: it is always contacted, with no
+        bound computed.
         """
+        if len(self._intervals) == 1:
+            return _ONE_SHARD
         memo_key = (query, threshold)
         memoized = self._plan_memo.get(memo_key)
         if memoized is not None:
@@ -285,14 +266,16 @@ class ScatterGatherPlanner:
         contacted = []
         occupied_shards = 0
         rank = gray_rank(query)
-        for shard in range(self.num_shards):
-            if self._occupied[shard] is None:
+        for shard, occupied in enumerate(self._occupied):
+            if occupied is None:
                 continue
             occupied_shards += 1
-            if (
-                self._min_distance_ranked(shard, query, rank, threshold)
-                <= threshold
-            ):
+            low, high = occupied
+            bound = min_hamming_to_gray_range(
+                query, self._code_length, low, high, threshold,
+                _query_rank=rank,
+            )
+            if bound <= threshold:
                 contacted.append(shard)
         plan = ShardPlan(
             contacted=tuple(contacted),
@@ -303,6 +286,22 @@ class ScatterGatherPlanner:
             self._plan_memo.clear()
         self._plan_memo[memo_key] = plan
         return plan
+
+    def broadcast(self) -> ShardPlan:
+        """Contact every non-empty shard, unpruned (the ``pruning=False``
+        ablation); a single shard is always contacted."""
+        if len(self._intervals) == 1:
+            return _ONE_SHARD
+        contacted = tuple(
+            shard
+            for shard, occupied in enumerate(self._occupied)
+            if occupied is not None
+        )
+        return ShardPlan(
+            contacted=contacted,
+            pruned=self.num_shards - len(contacted),
+            broadcast=True,
+        )
 
     def plan_batch(
         self, queries: Sequence[int], threshold: int
@@ -315,9 +314,17 @@ class ScatterGatherPlanner:
         micro-batch ``select`` path) need to issue one ``search_batch``
         per shard.  Shares the per-query memo with :meth:`plan`.
         """
+        if len(self._intervals) == 1:
+            return [_ONE_SHARD] * len(queries), {0: list(range(len(queries)))}
         plans = [self.plan(query, threshold) for query in queries]
-        by_shard: dict[int, list[int]] = {}
-        for position, plan in enumerate(plans):
-            for sid in plan.contacted:
-                by_shard.setdefault(sid, []).append(position)
-        return plans, by_shard
+        return plans, shard_positions(plans)
+
+
+def shard_positions(plans: Sequence[ShardPlan]) -> dict[int, list[int]]:
+    """Transpose per-query plans into ``{shard: [query positions]}``,
+    positions ascending."""
+    by_shard: dict[int, list[int]] = {}
+    for position, plan in enumerate(plans):
+        for sid in plan.contacted:
+            by_shard.setdefault(sid, []).append(position)
+    return by_shard

@@ -1,19 +1,20 @@
-"""Sharded scatter-gather serving over Gray-range partitions.
+"""The query-service core: scatter-gather serving over Gray-range shards.
 
-:class:`ShardedQueryService` is the scale-out sibling of
-:class:`~repro.service.server.HammingQueryService`: instead of one
-monolithic index it serves a dataset split into Gray-rank shards — the
-very partitioning the paper's Section 5.1 uses to balance MapReduce
-workers (sampled equi-depth pivots over the Gray order).  Each shard
-holds a :class:`~repro.core.dynamic_ha.DynamicHAIndex` primary plus
-optional replicas, and every query runs through a scatter-gather plan:
+:class:`ShardedQueryService` is the one serving core.  It serves a
+dataset split into Gray-rank shards — the very partitioning the paper's
+Section 5.1 uses to balance MapReduce workers (sampled equi-depth pivots
+over the Gray order) — so a single index is the one-shard case:
+:class:`~repro.service.server.HammingQueryService` is the constructor
+that wraps one prebuilt index as shard 0, with no pivots and the serial
+executor.  Each shard holds a primary index plus optional replicas, and
+every query runs through a scatter-gather plan:
 
 1. **Prune.**  The :class:`~repro.service.planner.ScatterGatherPlanner`
    computes, per shard, an exact lower bound on the Hamming distance
    between the query and *any* code the shard can hold (a digit DP over
    the shard's Gray-rank range).  Shards whose bound exceeds the
    threshold are skipped; when nothing can be skipped the plan falls
-   back to a broadcast.
+   back to a broadcast.  One shard is always contacted, with no bound.
 2. **Scatter.**  The surviving shard operations run through a pluggable
    executor (:mod:`repro.service.executor`): inline (``pool="serial"``),
    a persistent thread pool exploiting GIL release in the kernel sweeps
@@ -21,29 +22,39 @@ optional replicas, and every query runs through a scatter-gather plan:
    each shard zero-copy from memory-mapped snapshots
    (``pool="process"``).  Replica choice is load-balanced
    (least-outstanding-requests) with seeded failover and hedged
-   dispatch reusing the PR 1 chaos machinery
-   (:class:`~repro.mapreduce.faults.ChaosPolicy`).
+   dispatch reusing the MapReduce chaos machinery
+   (:class:`~repro.mapreduce.faults.ChaosPolicy`).  Every operation runs
+   on the shard's served plane, and which operation a query kind
+   scatters is read from that plane's methods.
 3. **Gather.**  Partial results merge deterministically in shard order
    regardless of completion order: ``select`` unions and id-sorts,
-   ``probe`` ORs the per-shard membership answers, ``knn`` runs the
-   paper's expanding-threshold loop over the pruned scatter and keeps
-   the global top-``k``, and :meth:`join` streams an outer code set
-   through per-shard batch probes.  Every pool backend returns results
-   *and op accounting* byte-identical to the serial walk.
+   ``probe`` ORs the per-shard membership answers, ``knn`` runs
+   :func:`~repro.core.knn.knn_select_batch`'s expanding-threshold
+   rounds over the pruned scatter and keeps the global top-``k``, and
+   :meth:`~ShardedQueryService.join` streams an outer code set through
+   per-shard batch probes.  Every pool backend returns results *and op
+   accounting* byte-identical to the serial walk.
 
 Because every code lives in exactly one shard, gathered results equal
 the single-index answers *exactly* (asserted across shard counts by
 ``tests/test_sharded_service.py``).
 
-The serving stack around the scatter core is the same as the
-single-index service — bounded admission, micro-batching with in-batch
-dedup, and an LRU result cache — but the cache is *shard-aware*: a
-cached entry is keyed by the epochs of the shards its plan contacted,
-so a write routed to a pruned shard leaves it valid.  That is sound
-because plans are recomputed per lookup: if an insert could add a
-match for a cached query, it necessarily widens the owning shard's
+Around the scatter sits the serving stack: bounded admission,
+micro-batching with in-batch dedup, and an LRU result cache.  Each
+micro-batch groups its misses by kind and parameter, plans every group
+once, and answers each group through one scatter.  The cache is
+*shard-aware*: a cached entry is keyed by the epochs of the shards its
+plan contacted, so a write routed to a pruned shard leaves it valid.
+That is sound because plans are recomputed per batch: if an insert could
+add a match for a cached query, it necessarily widens the owning shard's
 occupied Gray range until the planner stops pruning it, which changes
-the key and forces a miss.
+the key and forces a miss.  With one shard the key is that shard's
+epoch, which every write bumps.
+
+Writers apply H-Insert/H-Delete (Algorithm 2) to the owning shard under
+the service mutex, WAL-first when a durable store is attached; bulk
+reloads go through :meth:`~ShardedQueryService.refresh`, which builds
+the replacement outside the mutex and swaps it in (copy-on-swap).
 
 Observability: per-shard ``shard.dispatch``/``shard.search`` spans
 under a ``shard.scatter`` root (captured detached on pool threads and
@@ -55,10 +66,14 @@ metrics (plus failover/hedge counters) in the process registry.
 
 from __future__ import annotations
 
+import functools
+import operator
 import threading
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.bitvector import CodeSet
 from repro.core.dynamic_ha import DynamicHAIndex
@@ -67,11 +82,11 @@ from repro.core.errors import (
     CodeLengthError,
     IndexStateError,
     InvalidParameterError,
-    ReplicaUnavailableError,
     ServiceClosedError,
+    ServiceTimeoutError,
     StoreError,
 )
-from repro.core.knn import DEFAULT_INITIAL_THRESHOLD
+from repro.core.index_base import HammingIndex
 from repro.distributed.pivots import select_pivots, split_by_pivots
 from repro.mapreduce.faults import ChaosPolicy, hash_unit
 from repro.obs import REGISTRY
@@ -88,55 +103,85 @@ from repro.service.executor import (
     ShardTask,
     default_pool_workers,
     make_executor,
-)
-from repro.service.planner import ScatterGatherPlanner, ShardPlan
-from repro.service.server import (
-    DEFAULT_CACHE_CAPACITY,
-    DEFAULT_MAX_BATCH,
-    DEFAULT_QUEUE_LIMIT,
-    DEFAULT_WORKERS,
-    QUERY_KINDS,
-    ServedResult,
-    _deadline_error,
+    route_around_faults,
     served_plane,
+)
+from repro.service.planner import (
+    ScatterGatherPlanner,
+    ShardPlan,
+    shard_positions,
 )
 from repro.service.stats import ServiceAccounting, ServiceStats
 
-import numpy as np
+#: Query kinds the service understands.
+QUERY_KINDS = ("select", "probe", "knn")
+
+DEFAULT_WORKERS = 4
+DEFAULT_MAX_BATCH = 32
+DEFAULT_QUEUE_LIMIT = 1024
+DEFAULT_CACHE_CAPACITY = 4096
 
 _NUMPY_SORT_CUTOVER = 64
+
+
+@dataclass(slots=True, eq=False)
+class ServedResult:
+    """What a resolved ticket carries: value + serving context.
+
+    Attributes:
+        value: id-ascending tuple of tuple-ids (``select``), ``bool``
+            (``probe``) or tuple of ``(tuple_id, distance)`` pairs
+            sorted by (distance, id) (``knn``).  Tuples, not lists: one
+            cached value may be shared by many readers.
+        epoch: the service epoch the query was answered against.
+        cached: whether the result came from the cache.
+    """
+
+    value: object
+    epoch: int
+    cached: bool
 
 
 def _merge_sorted_ids(chunks) -> tuple[int, ...]:
     """Merge per-shard id chunks into one ascending tuple.
 
-    The gather merge is the one cost the sharded read path pays that a
-    single index never does: per-shard hits arrive in shard-local order
-    and must fold into one canonical ascending tuple.  Chunks may be
-    ``int64`` arrays (the dha engine's ``search_batch_arrays`` fast
-    path) or plain id lists (every other engine); both merge through
-    one C-speed concatenate + sort, with Python ints materialized
-    exactly once, after the merge.
+    Per-shard hits arrive in plane order and fold into one canonical
+    ascending tuple.  Chunks may be ``int64`` arrays (the compiled
+    plane's ``search_batch_arrays``) or plain id lists (every other
+    engine); both merge through one C-speed concatenate + sort, with
+    Python ints materialized exactly once, after the merge.
     """
-    total = sum(len(chunk) for chunk in chunks)
-    if total < _NUMPY_SORT_CUTOVER:
+    if len(chunks) == 1:
+        chunk = chunks[0]
+        if len(chunk) < _NUMPY_SORT_CUTOVER:
+            ids = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+            return tuple(sorted(ids))
+        return tuple(np.sort(np.asarray(chunk, dtype=np.int64)).tolist())
+    if sum(len(chunk) for chunk in chunks) < _NUMPY_SORT_CUTOVER:
         merged: list[int] = []
         for chunk in chunks:
-            if isinstance(chunk, np.ndarray):
-                merged.extend(chunk.tolist())
-            else:
-                merged.extend(chunk)
+            merged.extend(
+                chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+            )
         return tuple(sorted(merged))
-    arrays = [np.asarray(chunk, dtype=np.int64) for chunk in chunks]
-    buffer = (
-        np.concatenate(arrays) if len(arrays) > 1 else arrays[0].copy()
+    buffer = np.concatenate(
+        [np.asarray(chunk, dtype=np.int64) for chunk in chunks]
     )
     buffer.sort()
     return tuple(buffer.tolist())
 
 
+def _persistable(index: HammingIndex, verb: str = "persist"):
+    """``index`` if a durable store can hold it, else StoreError."""
+    if not isinstance(index, DynamicHAIndex):
+        raise StoreError(
+            f"can only {verb} a DynamicHAIndex, not {type(index).__name__}"
+        )
+    return index
+
+
 class ReplicaFaultPlan:
-    """Seeded replica-fault oracle, mapped from the PR 1 chaos model.
+    """Seeded replica-fault oracle, mapped from the MapReduce chaos model.
 
     Reuses :class:`~repro.mapreduce.faults.ChaosPolicy` fields:
 
@@ -180,20 +225,126 @@ class ReplicaFaultPlan:
 
 
 class _Shard:
-    """One Gray-range shard: replica set + its own epoch."""
+    """One Gray-range shard: replica set + its own epoch.
+
+    Replicas are deep snapshots of the primary.  Every replica's served
+    plane is compiled here, at build (and refresh) time, so the first
+    query does not pay ``num_shards`` lazy compiles.
+    """
 
     __slots__ = ("sid", "replicas", "epoch")
 
     def __init__(
-        self, sid: int, replicas: list[DynamicHAIndex]
+        self,
+        sid: int,
+        primary: HammingIndex,
+        replication: int = 1,
+        epoch: int = 0,
     ) -> None:
         self.sid = sid
-        self.replicas = replicas
-        self.epoch = 0
+        self.replicas = [primary] + [
+            primary.snapshot() for _ in range(replication - 1)
+        ]
+        self.epoch = epoch
+        if len(primary):
+            for replica in self.replicas:
+                served_plane(replica)
 
     @property
-    def primary(self) -> DynamicHAIndex:
+    def primary(self) -> HammingIndex:
         return self.replicas[0]
+
+
+def _split_shards(
+    codes: CodeSet,
+    pivots: Sequence[int],
+    builder: Callable[[CodeSet], HammingIndex],
+    replication: int,
+) -> tuple[list[_Shard], ScatterGatherPlanner]:
+    """Split ``codes`` by Gray-rank pivots and build one shard per part,
+    with a planner holding each part's exact occupied range."""
+    planner = ScatterGatherPlanner(pivots, codes.length)
+    shards = []
+    for sid, part in enumerate(split_by_pivots(codes, pivots)):
+        shards.append(_Shard(sid, builder(part), replication))
+        planner.reset_range(sid, part.codes)
+    return shards, planner
+
+
+class _PlaneOps(NamedTuple):
+    """What the served plane offers, read once per shard set.
+
+    ``select`` names the batched sweep selects scatter (``None``: one
+    ``search`` task per query); ``probe`` is ``contains_within`` or, on
+    planes without it, ``search``; ``knn`` is the batched distance
+    sweep, else the single-query one (``None``: the plane cannot rank).
+    ``radius`` is the weighted engines' ``implied_radius`` hook, the
+    largest unweighted distance a weighted match can sit at, so that
+    pruning stays sound (``None``: plan at the threshold itself).
+    """
+
+    select: str | None
+    probe: str
+    knn: str | None
+    radius: Callable[[float], int] | None
+
+    @classmethod
+    def of(cls, shards: list[_Shard]) -> "_PlaneOps":
+        primary = shards[0].primary
+        plane = served_plane(primary)
+
+        def first(*names: str) -> str | None:
+            return next((name for name in names if hasattr(plane, name)), None)
+
+        return cls(
+            first("search_batch_arrays", "search_batch"),
+            first("contains_within") or "search",
+            first("search_with_distances_batch", "search_with_distances"),
+            getattr(primary, "implied_radius", None),
+        )
+
+
+class _ScatterIndex:
+    """The served shards as one index, for the kNN expansion loop.
+
+    :func:`~repro.core.knn.knn_select_batch` reads the code length, the
+    size, the threshold cap and ``search_with_distances_batch``; each of
+    its rounds becomes one scatter — one batched sweep per contacted
+    shard — whose pairs concatenate in shard order.  Pruning is
+    re-planned every round: as the threshold grows the Hamming ball
+    widens and previously pruned shards rejoin the scatter.  Used only
+    under the service mutex.
+    """
+
+    def __init__(self, service: "ShardedQueryService") -> None:
+        self._service = service
+        self.code_length = service._code_length
+        # Weighted distances may exceed the code length.
+        self.knn_threshold_cap = getattr(
+            service._shards[0].primary, "knn_threshold_cap", 0
+        )
+
+    def __len__(self) -> int:
+        return sum(len(shard.primary) for shard in self._service._shards)
+
+    def search_with_distances_batch(
+        self, queries: Sequence[int], threshold: int
+    ) -> list[list[tuple[int, int]]]:
+        service = self._service
+        op = service._ops.knn
+        gathered = service._scatter_queries(
+            "knn",
+            queries,
+            threshold,
+            *service._plan_batch(queries, threshold),
+            op if op.endswith("_batch") else None,
+            op,
+        )
+        return [
+            chunks[0] if len(chunks) == 1
+            else [pair for chunk in chunks for pair in chunk]
+            for chunks in gathered
+        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,12 +452,13 @@ class _ShardAccounting:
         self.failovers = 0
         self.hedges = 0
 
-    def record_plan(self, plan: ShardPlan) -> None:
+    def record_plans(self, plans: Sequence[ShardPlan]) -> None:
         with self._lock:
-            self.planned += 1
-            self.contacted += len(plan.contacted)
-            self.pruned += plan.pruned
-            self.broadcasts += bool(plan.broadcast)
+            for plan in plans:
+                self.planned += 1
+                self.contacted += len(plan.contacted)
+                self.pruned += plan.pruned
+                self.broadcasts += plan.broadcast
 
     def record_failover(self) -> None:
         with self._lock:
@@ -316,33 +468,17 @@ class _ShardAccounting:
         with self._lock:
             self.hedges += 1
 
-    def snapshot(
-        self,
-        num_shards: int,
-        replication: int,
-        sizes: tuple[int, ...],
-        epochs: tuple[int, ...],
-        pool: tuple = ("serial", 0, 0, 0, 0, 0.0, 0.0),
-    ) -> ShardStats:
+    def snapshot(self, **fields) -> ShardStats:
+        """The counters plus the caller's topology and pool ``fields``."""
         with self._lock:
             return ShardStats(
-                num_shards=num_shards,
-                replication=replication,
                 planned=self.planned,
                 shards_contacted=self.contacted,
                 shards_pruned=self.pruned,
                 broadcasts=self.broadcasts,
                 failovers=self.failovers,
                 hedges=self.hedges,
-                shard_sizes=sizes,
-                shard_epochs=epochs,
-                pool=pool[0],
-                pool_workers=pool[1],
-                pool_tasks=pool[2],
-                pool_fallbacks=pool[3],
-                pool_timeouts=pool[4],
-                pool_busy_seconds=pool[5],
-                pool_critical_seconds=pool[6],
+                **fields,
             )
 
 
@@ -383,9 +519,24 @@ class ShardedQueryService:
             process pool past it terminates the suspect workers and
             re-runs the missing tasks inline; a thread pool raises
             :class:`~repro.core.errors.PoolTimeoutError`.
-        workers / max_batch / queue_limit / cache_capacity /
-        default_timeout / linger_seconds / start / trace_batches: as in
-            :class:`~repro.service.server.HammingQueryService`.
+        workers: micro-batch worker threads.
+        max_batch: most queries coalesced into one batch.
+        queue_limit: admission bound (waiting queries) before
+            backpressure rejections start.
+        cache_capacity: LRU result-cache entries (0 disables caching).
+        default_timeout: server-side deadline in seconds applied to
+            queries submitted without an explicit timeout (``None``
+            means queries never expire).
+        linger_seconds: how long a worker waits for a batch to fill
+            (0 drains only what is already queued).
+        start: spawn the worker pool immediately; pass ``False`` to
+            stage requests before serving begins (tests use this to
+            exercise backpressure and batching deterministically).
+        trace_batches: open a ``service.batch`` trace around every
+            micro-batch execution, so the engine's per-level spans are
+            collected on the worker thread and the latest batch tree is
+            readable from :func:`repro.obs.last_trace` (off by
+            default — tracing every batch is not free).
         data_dir: persist the shard set under this (fresh) directory —
             a ``topology.json`` describing the split plus one
             :class:`~repro.store.store.DurableIndexStore` per shard
@@ -393,11 +544,6 @@ class ShardedQueryService:
             owning shard's store before any replica applies them;
             reopen with :meth:`open`.
         fsync: passed to the per-shard stores.
-
-    Every replica's served plane
-    (:func:`~repro.service.server.served_plane`) is compiled eagerly at
-    build (and refresh) time, so the first query does not pay
-    ``num_shards`` lazy compiles.
     """
 
     #: name of the shard-layout manifest inside ``data_dir``.
@@ -430,8 +576,6 @@ class ShardedQueryService:
     ) -> None:
         if replication < 1:
             raise InvalidParameterError("replication must be >= 1")
-        if default_timeout is not None and default_timeout <= 0:
-            raise InvalidParameterError("default_timeout must be positive")
         if pivots is None:
             if num_shards < 1:
                 raise InvalidParameterError("num_shards must be positive")
@@ -440,28 +584,40 @@ class ShardedQueryService:
                 if num_shards > 1 and len(codes)
                 else []
             )
-        self._code_length = codes.length
-        self._planner = ScatterGatherPlanner(pivots, codes.length)
-        self._replication = replication
-        self._faults = (
-            ReplicaFaultPlan(chaos)
-            if chaos is not None and chaos.enabled
-            else None
-        )
-        self._engine = get_engine(engine).name
-        if data_dir is not None and self._engine != "dha":
+        spec = get_engine(engine)
+        if data_dir is not None and spec.name != "dha":
             raise StoreError(
                 f"durable sharded stores require the dha engine, "
-                f"not {self._engine!r}"
+                f"not {spec.name!r}"
             )
-        self._index_params = dict(index_params or {})
-        self._pruning = pruning
-        self._shards = self._build_shards(codes)
-        self._stores = None
-        self._global_epoch = 0
+        index_params = dict(index_params or {})
+        builder = functools.partial(spec.builder, **index_params)
+        shards, planner = _split_shards(codes, pivots, builder, replication)
+        stores = None
         if data_dir is not None:
-            self._stores = self._init_stores(data_dir, fsync)
-        self._finish_setup(
+            stores = _init_stores(
+                data_dir,
+                fsync,
+                shards,
+                {
+                    "code_length": codes.length,
+                    "pivots": list(planner.pivots),
+                    "replication": replication,
+                    "index_params": index_params,
+                },
+            )
+        self._setup(
+            shards,
+            planner,
+            stores,
+            engine=spec.name,
+            builder=builder,
+            replication=replication,
+            chaos=chaos,
+            pruning=pruning,
+            pool=pool,
+            pool_workers=pool_workers,
+            task_timeout=task_timeout,
             workers=workers,
             max_batch=max_batch,
             queue_limit=queue_limit,
@@ -470,31 +626,58 @@ class ShardedQueryService:
             linger_seconds=linger_seconds,
             start=start,
             trace_batches=trace_batches,
-            pool=pool,
-            pool_workers=pool_workers,
-            task_timeout=task_timeout,
         )
 
-    def _finish_setup(
+    def _setup(
         self,
+        shards: list[_Shard],
+        planner: ScatterGatherPlanner,
+        stores: list | None,
         *,
-        workers: int,
-        max_batch: int,
-        queue_limit: int,
-        cache_capacity: int,
-        default_timeout: float | None,
-        linger_seconds: float,
-        start: bool,
-        trace_batches: bool,
+        engine: str,
+        builder: Callable[[CodeSet], HammingIndex] | None,
+        replication: int = 1,
+        chaos: ChaosPolicy | None = None,
+        pruning: bool = True,
         pool: str = "serial",
         pool_workers: int | None = None,
         task_timeout: float | None = None,
+        workers: int = DEFAULT_WORKERS,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
+        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
+        default_timeout: float | None = None,
+        linger_seconds: float = 0.0,
+        start: bool = True,
+        trace_batches: bool = False,
     ) -> None:
-        """Serving-stack construction shared by ``__init__`` / ``open``."""
+        """State and serving stack shared by every constructor.
+
+        ``builder`` builds one shard index from a :class:`CodeSet` on
+        :meth:`refresh`; ``None`` builds with the served index's own
+        type and default parameters.
+        """
+        if default_timeout is not None and default_timeout <= 0:
+            raise InvalidParameterError("default_timeout must be positive")
         if pool not in POOL_KINDS:
             raise InvalidParameterError(
                 f"unknown pool {pool!r}; expected one of {POOL_KINDS}"
             )
+        self._code_length = planner.code_length
+        self._planner = planner
+        self._shards = shards
+        self._stores = stores
+        self._ops = _PlaneOps.of(shards)
+        self._global_epoch = sum(shard.epoch for shard in shards)
+        self._engine = engine
+        self._builder = builder
+        self._replication = replication
+        self._faults = (
+            ReplicaFaultPlan(chaos)
+            if chaos is not None and chaos.enabled
+            else None
+        )
+        self._pruning = pruning
         self._lock = threading.Lock()
         self._trace_batches = trace_batches
         self._default_timeout = default_timeout
@@ -504,12 +687,11 @@ class ShardedQueryService:
         self._shard_accounting = _ShardAccounting()
         self._replica_lock = threading.Lock()
         self._outstanding = {
-            shard.sid: [0] * len(shard.replicas)
-            for shard in self._shards
+            shard.sid: [0] * len(shard.replicas) for shard in shards
         }
         self._pool_kind = pool
         self._pool_workers = pool_workers or default_pool_workers(
-            len(self._shards)
+            len(shards)
         )
         self._task_timeout = task_timeout
         self._executor = self._build_executor()
@@ -543,11 +725,11 @@ class ShardedQueryService:
 
         Durable services hand out their store directories — workers
         recover read-only (memory-mapped snapshot + WAL replay) and
-        never re-pickle an index.  In-memory ``dha`` services write
-        one snapshot per shard into a scratch directory the executor
-        owns; other engines ship one pickled copy per worker, or raise
-        :class:`~repro.core.errors.StoreError` when the engine cannot
-        be pickled.
+        never re-pickle an index.  In-memory DHA-Index shards are
+        written as one snapshot per shard into a scratch directory the
+        executor owns; other engines ship one pickled copy per worker,
+        or raise :class:`~repro.core.errors.StoreError` when the engine
+        cannot be pickled.
         """
         if self._stores is not None:
             specs = {
@@ -560,7 +742,10 @@ class ShardedQueryService:
                 for shard, store in zip(self._shards, self._stores)
             }
             return specs, None
-        if self._engine == "dha":
+        if all(
+            isinstance(shard.primary, DynamicHAIndex)
+            for shard in self._shards
+        ):
             import tempfile
             from pathlib import Path
 
@@ -614,7 +799,7 @@ class ShardedQueryService:
     ) -> None:
         """Swap the scatter backend in place (no index rebuild).
 
-        The swap happens under the shard mutex, so no scatter is ever
+        The swap happens under the service mutex, so no scatter is ever
         split across backends; the old pool's processes/threads are
         released after the swap.  ``task_timeout=None`` keeps the
         current deadline.  ``model_width`` sets the width at which the
@@ -639,44 +824,6 @@ class ShardedQueryService:
         old.close()
 
     # -- durability --------------------------------------------------------
-
-    def _init_stores(self, data_dir: str, fsync: bool):
-        """Write ``topology.json`` and one fresh store per shard."""
-        import json
-        from pathlib import Path
-
-        from repro.store.format import atomic_write
-        from repro.store.store import DurableIndexStore
-
-        root = Path(data_dir)
-        if (root / self.TOPOLOGY_FILE).exists():
-            raise StoreError(
-                f"{data_dir} already holds a sharded store; use "
-                "ShardedQueryService.open(data_dir) to recover it"
-            )
-        root.mkdir(parents=True, exist_ok=True)
-        topology = {
-            "format": "repro-shard-topology",
-            "version": 1,
-            "code_length": self._code_length,
-            "pivots": list(self._planner.pivots),
-            "num_shards": len(self._shards),
-            "replication": self._replication,
-            "index_params": self._index_params,
-        }
-        atomic_write(
-            root / self.TOPOLOGY_FILE,
-            json.dumps(topology, sort_keys=True, indent=2).encode("utf-8"),
-            fsync=fsync,
-        )
-        stores = []
-        for shard in self._shards:
-            store = DurableIndexStore(
-                root / f"shard-{shard.sid:04d}", fsync=fsync
-            )
-            store.initialize(shard.primary)
-            stores.append(store)
-        return stores
 
     @classmethod
     def open(
@@ -725,20 +872,11 @@ class ShardedQueryService:
         if topology.get("format") != "repro-shard-topology":
             raise StoreError(f"{manifest} is not a shard topology file")
 
-        self = cls.__new__(cls)
-        self._code_length = int(topology["code_length"])
-        self._planner = ScatterGatherPlanner(
-            [int(p) for p in topology["pivots"]], self._code_length
+        replication = int(topology["replication"])
+        planner = ScatterGatherPlanner(
+            [int(p) for p in topology["pivots"]],
+            int(topology["code_length"]),
         )
-        self._replication = int(topology["replication"])
-        self._faults = (
-            ReplicaFaultPlan(chaos)
-            if chaos is not None and chaos.enabled
-            else None
-        )
-        self._engine = "dha"  # stores always persist the DHA-Index
-        self._index_params = dict(topology.get("index_params") or {})
-        self._pruning = pruning
         shards: list[_Shard] = []
         stores = []
         for sid in range(int(topology["num_shards"])):
@@ -746,23 +884,29 @@ class ShardedQueryService:
                 root / f"shard-{sid:04d}", fsync=fsync
             )
             primary = store.open()
-            replicas = [primary] + [
-                primary.snapshot() for _ in range(self._replication - 1)
-            ]
-            if len(primary):
-                for replica in replicas:
-                    served_plane(replica)
-            shard = _Shard(sid, replicas)
-            shard.epoch = store.last_seq
-            shards.append(shard)
+            shards.append(
+                _Shard(sid, primary, replication, epoch=store.last_seq)
+            )
             stores.append(store)
-            self._planner.reset_range(
+            planner.reset_range(
                 sid, [code for code, _ in primary.code_id_pairs()]
             )
-        self._shards = shards
-        self._stores = stores
-        self._global_epoch = sum(shard.epoch for shard in shards)
-        self._finish_setup(
+        self = cls.__new__(cls)
+        self._setup(
+            shards,
+            planner,
+            stores,
+            engine="dha",  # stores always persist the DHA-Index
+            builder=functools.partial(
+                get_engine("dha").builder,
+                **(topology.get("index_params") or {}),
+            ),
+            replication=replication,
+            chaos=chaos,
+            pruning=pruning,
+            pool=pool,
+            pool_workers=pool_workers,
+            task_timeout=task_timeout,
             workers=workers,
             max_batch=max_batch,
             queue_limit=queue_limit,
@@ -771,27 +915,8 @@ class ShardedQueryService:
             linger_seconds=linger_seconds,
             start=start,
             trace_batches=trace_batches,
-            pool=pool,
-            pool_workers=pool_workers,
-            task_timeout=task_timeout,
         )
         return self
-
-    def _build_shards(self, codes: CodeSet) -> list[_Shard]:
-        shard_sets = split_by_pivots(codes, self._planner.pivots)
-        builder = get_engine(self._engine).builder
-        shards = []
-        for sid, shard_codes in enumerate(shard_sets):
-            primary = builder(shard_codes, **self._index_params)
-            replicas = [primary] + [
-                primary.snapshot() for _ in range(self._replication - 1)
-            ]
-            if len(shard_codes):
-                for replica in replicas:
-                    served_plane(replica)
-            shards.append(_Shard(sid, replicas))
-            self._planner.reset_range(sid, shard_codes.codes)
-        return shards
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -804,15 +929,18 @@ class ShardedQueryService:
     def close(self, *, snapshot: bool = True) -> None:
         """Stop admitting, drain queued queries, join the workers.
 
-        With ``snapshot=True`` (the default) every shard whose WAL has
-        pending records rotates a final generation, so the next
-        :meth:`open` warm-starts each shard from its memory-mapped
-        snapshot with nothing to replay.
+        Every already-admitted query is still answered (or times out on
+        its own deadline) — shutdown never silently drops work.  With
+        durable stores attached, ``snapshot=True`` (the default) rotates
+        a final generation on every store whose WAL has pending
+        records, so the next :meth:`open` warm-starts from the
+        memory-mapped snapshot with nothing to replay; ``snapshot=False``
+        skips the rotation and relies on WAL replay instead.
         """
         if self._closed:
             return
         self._closed = True
-        self._scheduler.start()
+        self._scheduler.start()  # ensure someone drains the backlog
         self._queue.close()
         self._scheduler.join()
         self._executor.close()
@@ -870,23 +998,39 @@ class ShardedQueryService:
         param: int,
         timeout: float | None = None,
     ) -> QueryTicket:
-        """Admit one query; returns its ticket immediately."""
+        """Admit one query; returns its ticket immediately.
+
+        The query (and a kNN ``k``) must be integers; a threshold goes
+        through the served engine's own check, since weighted engines
+        take float thresholds.
+
+        Raises:
+            ServiceOverloadError: queue full (carries retry-after).
+            ServiceClosedError: service shut down.
+            InvalidParameterError / CodeLengthError: malformed query.
+        """
         if self._closed:
             raise ServiceClosedError("query service is closed")
         if kind not in QUERY_KINDS:
             raise InvalidParameterError(
                 f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}"
             )
-        if query < 0 or query >> self._code_length:
-            raise CodeLengthError(
-                f"query {query:#x} does not fit in "
-                f"{self._code_length} bits"
-            )
+        try:
+            query = operator.index(query)
+            if kind == "knn":
+                param = operator.index(param)
+        except TypeError:
+            raise InvalidParameterError(
+                f"{kind} query{' and k' if kind == 'knn' else ''} "
+                "must be integers"
+            ) from None
+        check = self._shards[0].primary._check_query
         if kind == "knn":
             if param < 1:
                 raise InvalidParameterError("k must be positive")
-        elif param < 0:
-            raise InvalidParameterError("threshold must be non-negative")
+            check(query, 0)
+        else:
+            check(query, param)
         now = time.monotonic()
         if timeout is None:
             timeout = self._default_timeout
@@ -922,8 +1066,9 @@ class ShardedQueryService:
     def probe(
         self, query: int, threshold: int, timeout: float | None = None
     ) -> ServedResult:
-        """Blocking join-probe; True iff any shard holds a code within
-        ``threshold`` (pruned shards provably cannot)."""
+        """Blocking join-probe; ``value`` is ``True`` iff any indexed
+        code lies within ``threshold`` (the semi-join existence test;
+        pruned shards provably hold none)."""
         return self._await(self.submit("probe", query, threshold, timeout))
 
     def knn(
@@ -946,9 +1091,9 @@ class ShardedQueryService:
         """Scatter-gather Hamming-join of ``outer`` against the served
         dataset; returns sorted ``(outer_id, inner_id)`` pairs.
 
-        A bulk offline entry point (not queued): each outer code is
+        A bulk offline entry point (not queued): the outer codes are
         planned, the per-shard probe sets run through the shards'
-        batched kernels, and the pairs merge in sorted order — the
+        batched sweeps, and the pairs merge in sorted order — the
         distributed join's scatter phase, served online.
         """
         self._check_open()
@@ -959,42 +1104,35 @@ class ShardedQueryService:
             )
         if threshold < 0:
             raise InvalidParameterError("threshold must be non-negative")
-        pairs: list[tuple[int, int]] = []
+        queries = list(outer.codes)
         with self._lock:
-            _, by_shard = self._plan_batch_locked(
-                list(outer.codes), threshold
+            gathered = self._scatter_queries(
+                "join",
+                queries,
+                threshold,
+                *self._plan_batch(queries, threshold),
+                self._ops.select,
+                "search",
             )
-            shard_positions = sorted(by_shard.items())
-            tasks = [
-                self._task(
-                    sid,
-                    "search_batch",
-                    ([outer.codes[p] for p in positions], threshold),
-                    ("join", threshold, len(positions)),
-                )
-                for sid, positions in shard_positions
-            ]
-            values = self._scatter("join", tasks, shards=len(tasks))
-            with trace_span(
-                "shard.gather", kind="join", shards=len(tasks)
-            ):
-                for (sid, positions), id_lists in zip(
-                    shard_positions, values
-                ):
-                    for position, ids in zip(positions, id_lists):
-                        outer_id = outer.ids[position]
-                        pairs.extend(
-                            (outer_id, inner) for inner in ids
-                        )
+        pairs = [
+            (outer_id, inner)
+            for outer_id, chunks in zip(outer.ids, gathered)
+            for inner in _merge_sorted_ids(chunks)
+        ]
         pairs.sort()
         return pairs
 
-    # -- writer side -------------------------------------------------------
+    # -- writer side (Algorithm 2 through the service) ---------------------
 
     def insert(self, code: int, tuple_id: int) -> int:
         """H-Insert into the owning shard (every replica); returns the
-        new global epoch.  Only that shard's epoch is bumped, so cached
-        results whose plans never touch it stay valid."""
+        new epoch.  Only that shard's epoch is bumped, so cached
+        results whose plans never touch it stay valid.
+
+        With a durable store attached the mutation is WAL-logged
+        *before* it touches any replica (write-ahead), so a crash after
+        this method returns never loses it.
+        """
         self._check_open()
         self._check_code(code)
         with self._lock:
@@ -1006,14 +1144,11 @@ class ShardedQueryService:
             for replica in shard.replicas:
                 replica.insert(code, tuple_id)
             self._planner.observe(sid, code)
-            shard.epoch += 1
-            self._global_epoch += 1
-            self._executor.mutate(sid, "insert", code, tuple_id, shard.epoch)
-            return self._global_epoch
+            return self._bump(shard, "insert", code, tuple_id)
 
     def delete(self, code: int, tuple_id: int) -> int:
         """H-Delete from the owning shard (every replica); returns the
-        new global epoch.  The shard's occupied Gray range is kept
+        new epoch.  The shard's occupied Gray range is kept
         conservatively wide (sound; tightened on the next refresh)."""
         self._check_open()
         self._check_code(code)
@@ -1029,10 +1164,17 @@ class ShardedQueryService:
                 self._stores[sid].append_delete(code, tuple_id)
             for replica in shard.replicas:
                 replica.delete(code, tuple_id)
-            shard.epoch += 1
-            self._global_epoch += 1
-            self._executor.mutate(sid, "delete", code, tuple_id, shard.epoch)
-            return self._global_epoch
+            return self._bump(shard, "delete", code, tuple_id)
+
+    def _bump(
+        self, shard: _Shard, op: str, code: int, tuple_id: int
+    ) -> int:
+        """Advance the shard and service epochs after one applied write
+        (under the mutex) and forward it to the scatter pool."""
+        shard.epoch += 1
+        self._global_epoch += 1
+        self._executor.mutate(shard.sid, op, code, tuple_id, shard.epoch)
+        return self._global_epoch
 
     @staticmethod
     def _precheck_mutation(shard: _Shard, verb: str) -> None:
@@ -1049,33 +1191,78 @@ class ShardedQueryService:
                 f"cannot {verb} a leaf-less (keep_ids=False) index"
             )
 
-    def refresh(self, codes: CodeSet) -> int:
-        """Copy-on-swap bulk reload: re-split by the existing pivots,
-        rebuild every shard outside the lock, swap, recompute occupied
-        ranges exactly, and drop the whole cache."""
+    def refresh(self, source: HammingIndex | CodeSet) -> int:
+        """Copy-on-swap bulk reload; returns the new epoch.
+
+        A :class:`CodeSet` is re-split by the existing pivots and every
+        shard rebuilt (with the served engine and parameters); a
+        prebuilt index replaces the one shard of a one-shard service.
+        The build happens *outside* the mutex — readers only ever wait
+        for the swap — then occupied ranges are recomputed exactly,
+        stores rotate a fresh generation, and the whole cache is
+        dropped.
+        """
         self._check_open()
-        if codes.length != self._code_length:
+        prebuilt = isinstance(source, HammingIndex)
+        if prebuilt and len(self._shards) != 1:
             raise InvalidParameterError(
-                f"refresh code length {codes.length} != served "
+                "a prebuilt index can only refresh a one-shard service; "
+                "pass a CodeSet to re-split it over the shards"
+            )
+        length = source.code_length if prebuilt else source.length
+        if length != self._code_length:
+            raise InvalidParameterError(
+                f"refresh code length {length} != served "
                 f"{self._code_length}"
             )
-        replacement = self._build_shards(codes)
+        if prebuilt:
+            shards = [_Shard(0, source, self._replication)]
+            planner = ScatterGatherPlanner([], length)
+        else:
+            builder = self._builder or type(self._shards[0].primary).build
+            shards, planner = _split_shards(
+                source, self._planner.pivots, builder, self._replication
+            )
+        if self._stores is not None:
+            for shard in shards:
+                _persistable(shard.primary)
+        ops = _PlaneOps.of(shards)
         with self._lock:
-            for shard, fresh in zip(self._shards, replacement):
-                fresh.epoch = shard.epoch + 1
+            for old, fresh in zip(self._shards, shards):
+                fresh.epoch = old.epoch + 1
             if self._stores is not None:
                 # A bulk reload invalidates every shard's WAL chain;
                 # rotate a fresh snapshot generation per shard before
                 # serving the replacement.
-                for store, fresh in zip(self._stores, replacement):
+                for store, fresh in zip(self._stores, shards):
                     store.snapshot(fresh.primary)
-            self._shards = replacement
+            self._shards = shards
+            self._planner = planner
+            self._ops = ops
             self._global_epoch += 1
             epoch = self._global_epoch
             self._executor.reload()
         self._accounting.record_refresh()
         self._cache.clear()
         return epoch
+
+    def save_snapshot(self) -> int:
+        """Rotate a new snapshot generation on every store.
+
+        Folds each store's logged mutations into a fresh snapshot so
+        the next :meth:`open` replays empty WAL tails; returns the
+        highest generation.  Requires a durable store.
+        """
+        self._check_open()
+        if self._stores is None:
+            raise StoreError(
+                "service has no durable store; construct it with "
+                "data_dir= or open() to persist snapshots"
+            )
+        with self._lock:
+            for store, shard in zip(self._stores, self._shards):
+                store.snapshot(shard.primary)
+            return max(store.generation for store in self._stores)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -1087,282 +1274,158 @@ class ShardedQueryService:
                 f"code {code:#x} does not fit in {self._code_length} bits"
             )
 
-    # -- scatter-gather core (runs under the shard mutex) ------------------
+    # -- scatter-gather core (runs under the service mutex) ----------------
 
-    def _plan_radius(self, threshold: int) -> int:
-        """Unweighted planning radius for a (possibly weighted) threshold.
-
-        The Gray-range shard bound prunes in *unweighted* Hamming
-        space.  Weighted engines expose ``implied_radius`` — the
-        largest unweighted distance a weighted match can sit at
-        (``floor(threshold / min_weight)``) — so planning at that
-        radius keeps pruning sound: a shard outside it provably holds
-        no weighted match.  Unweighted engines plan at the threshold
-        itself, unchanged.
-        """
-        if self._shards:
-            implied = getattr(
-                self._shards[0].primary, "implied_radius", None
-            )
-            if implied is not None:
-                return implied(threshold)
-        return threshold
-
-    def _knn_cap(self) -> int:
-        """Threshold that provably covers every stored code for kNN.
-
-        The code length for unweighted engines; weighted engines
-        report ``knn_threshold_cap`` (the ceiling of their total
-        weight), since their distances may exceed the code length.
-        """
-        if self._shards:
-            cap = getattr(
-                self._shards[0].primary, "knn_threshold_cap", None
-            )
-            if cap is not None:
-                return max(int(cap), self._code_length)
-        return self._code_length
-
-    def _plan_locked(self, query: int, threshold: int) -> ShardPlan:
+    def _plan(self, query: int, threshold: float) -> ShardPlan:
         if not self._pruning:
-            return self._broadcast_plan()
-        return self._planner.plan(query, self._plan_radius(threshold))
+            return self._planner.broadcast()
+        radius = self._ops.radius
+        return self._planner.plan(
+            query, threshold if radius is None else radius(threshold)
+        )
 
-    def _plan_batch_locked(
-        self, queries: list[int], threshold: int
+    def _plan_batch(
+        self, queries: Sequence[int], threshold: float
     ) -> tuple[list[ShardPlan], dict[int, list[int]]]:
-        """Plan a batch and transpose it into ``{shard: positions}``."""
-        if self._pruning:
-            return self._planner.plan_batch(
-                queries, self._plan_radius(threshold)
-            )
-        plans = [self._broadcast_plan() for _ in queries]
-        by_shard: dict[int, list[int]] = {}
-        for position, plan in enumerate(plans):
-            for sid in plan.contacted:
-                by_shard.setdefault(sid, []).append(position)
-        return plans, by_shard
-
-    def _broadcast_plan(self) -> ShardPlan:
-        """Contact every non-empty shard (``pruning=False`` ablation)."""
-        contacted = tuple(
-            sid
-            for sid in range(self.num_shards)
-            if self._planner.occupied(sid) is not None
-        )
-        return ShardPlan(
-            contacted=contacted,
-            pruned=self.num_shards - len(contacted),
-            broadcast=True,
+        """Plans for queries sharing a threshold, and their transpose."""
+        if not self._pruning:
+            plans = [self._planner.broadcast()] * len(queries)
+            return plans, shard_positions(plans)
+        radius = self._ops.radius
+        return self._planner.plan_batch(
+            queries, threshold if radius is None else radius(threshold)
         )
 
-    def _record_plan(self, plan: ShardPlan) -> None:
-        self._shard_accounting.record_plan(plan)
-        if REGISTRY.enabled:
-            REGISTRY.counter(
-                "shards_contacted_total",
-                "shard visits performed by executed queries",
-            ).inc(len(plan.contacted))
-            REGISTRY.counter(
-                "shard_pruned_total",
-                "shard visits avoided by the Gray-range bound",
-            ).inc(plan.pruned)
+    def _record_plans(self, plans: Sequence[ShardPlan]) -> None:
+        self._shard_accounting.record_plans(plans)
+        if not REGISTRY.enabled:
+            return
+        contacted = REGISTRY.counter(
+            "shards_contacted_total",
+            "shard visits performed by executed queries",
+        )
+        pruned = REGISTRY.counter(
+            "shard_pruned_total",
+            "shard visits avoided by the Gray-range bound",
+        )
+        histogram = REGISTRY.histogram(
+            "shards_contacted",
+            "shards contacted per executed query",
+            buckets=tuple(float(2**i) for i in range(0, 8)),
+        )
+        for plan in plans:
+            contacted.inc(len(plan.contacted))
+            pruned.inc(plan.pruned)
             if plan.broadcast:
                 REGISTRY.counter(
                     "shard_broadcast_total",
                     "queries whose pruning bound was vacuous",
                 ).inc()
-            REGISTRY.histogram(
-                "shards_contacted",
-                "shards contacted per executed query",
-                buckets=tuple(
-                    float(2**i) for i in range(0, 8)
-                ),
-            ).observe(float(len(plan.contacted)))
+            histogram.observe(float(len(plan.contacted)))
 
-    def _dispatch(
-        self,
-        shard: _Shard,
-        op_name: str,
-        args: tuple,
-        context: tuple,
-    ):
-        """Run one shard operation with hedging and replica failover.
-
-        Replica candidates are ordered by least outstanding requests
-        (ties by index, so an idle service visits the primary first,
-        exactly as before the parallel executors existed; under a
-        concurrent thread-pool scatter the load spreads).  The fault
-        plan may hedge the dispatch away from the first candidate
-        (straggler) or skip unavailable replicas (failover); the final
-        candidate is always consulted, so injected faults never change
-        results.  The operation runs on the replica's
-        :func:`~repro.service.server.served_plane`.  Thread-safe:
-        accounting and the outstanding counts take their own locks,
-        never the shard mutex.
-        """
-        replicas = shard.replicas
-        if len(replicas) == 1:
-            order = [0]
-        else:
-            with self._replica_lock:
-                counts = self._outstanding[shard.sid]
-                order = sorted(
-                    range(len(replicas)),
-                    key=lambda ridx: (counts[ridx], ridx),
-                )
-        faults = self._faults
-        if faults is not None and len(order) > 1:
-            if faults.primary_straggles(shard.sid, op_name, *context):
-                order = order[1:] + order[:1]
-                self._shard_accounting.record_hedge()
-                if REGISTRY.enabled:
-                    REGISTRY.counter(
-                        "shard_hedged_total",
-                        "dispatches hedged away from a slow primary",
-                    ).inc()
-        for position, ridx in enumerate(order):
-            last = position == len(order) - 1
-            if (
-                not last
-                and faults is not None
-                and faults.replica_down(
-                    shard.sid, ridx, op_name, *context
-                )
-            ):
-                self._shard_accounting.record_failover()
-                if REGISTRY.enabled:
-                    REGISTRY.counter(
-                        "shard_failover_total",
-                        "dispatches failed over to another replica",
-                    ).inc()
-                continue
-            replica = replicas[ridx]
-            with self._replica_lock:
-                self._outstanding[shard.sid][ridx] += 1
-            try:
-                with trace_span(
-                    "shard.search",
-                    shard=shard.sid,
-                    replica=ridx,
-                    op=op_name,
-                ):
-                    return getattr(served_plane(replica), op_name)(*args)
-            finally:
-                with self._replica_lock:
-                    self._outstanding[shard.sid][ridx] -= 1
-        raise ReplicaUnavailableError(
-            f"no replica of shard {shard.sid} available"
+    def _pick_replica(self, shard: _Shard, op: str, context: tuple) -> int:
+        """Least-outstanding replica after chaos hedging and failover
+        (ties by index, so an idle service visits the primary first);
+        counted as outstanding until the dispatch releases it."""
+        counts = self._outstanding[shard.sid]
+        with self._replica_lock:
+            order = sorted(
+                range(len(counts)), key=lambda ridx: (counts[ridx], ridx)
+            )
+        choice = route_around_faults(
+            order, self._faults, self._shard_accounting, shard.sid, op,
+            context,
         )
+        with self._replica_lock:
+            counts[choice] += 1
+        return choice
 
     def _dispatch_task(self, task: ShardTask):
-        """Executor-facing adapter: one :class:`ShardTask`, inline."""
-        return self._dispatch(
-            self._shards[task.sid], task.op, task.args, task.context
-        )
+        """Run one shard operation on a replica's served plane.
 
-    def _scatter(self, kind: str, tasks: list[ShardTask], **attrs):
-        """Run one scatter through the active pool backend.
-
-        Returns per-task values in task order; the executor attaches
-        every task's ``shard.dispatch`` subtree to the open
-        ``shard.scatter`` span in that same order, whatever the
-        completion order was.
+        Executor-facing and thread-safe: replica choice and accounting
+        take their own locks, never the service mutex.  A lone replica
+        needs no choice and no outstanding count.
         """
+        shard = self._shards[task.sid]
+        replicas = shard.replicas
+        counted = len(replicas) > 1
+        ridx = (
+            self._pick_replica(shard, task.op, task.context)
+            if counted
+            else 0
+        )
+        try:
+            with trace_span(
+                "shard.search", shard=shard.sid, replica=ridx, op=task.op
+            ):
+                return getattr(served_plane(replicas[ridx]), task.op)(
+                    *task.args
+                )
+        finally:
+            if counted:
+                with self._replica_lock:
+                    self._outstanding[shard.sid][ridx] -= 1
+
+    def _scatter_queries(
+        self,
+        kind: str,
+        queries: Sequence[int],
+        threshold: float,
+        plans: Sequence[ShardPlan],
+        by_shard: dict[int, list[int]],
+        batch_op: str | None,
+        op: str,
+    ) -> list[list]:
+        """One scatter for planned queries sharing a threshold.
+
+        ``by_shard`` is the plans' transpose (:func:`shard_positions`).
+        Each contacted shard receives one ``batch_op`` sweep over every
+        query routed to it, or one ``op`` task per query when the plane
+        has no batched form.  Returns, per query, its shard chunks in
+        shard order.
+        """
+        self._record_plans(plans)
+        tasks: list[ShardTask] = []
+        slots: list[list[int]] = []
+        for sid in sorted(by_shard) if len(by_shard) > 1 else by_shard:
+            positions = by_shard[sid]
+            epoch = self._shards[sid].epoch
+            if batch_op is not None:
+                batch = [queries[position] for position in positions]
+                args, context = (batch, threshold), (kind, threshold, batch[0])
+                tasks.append(ShardTask(sid, batch_op, args, context, epoch))
+                slots.append(positions)
+                continue
+            for position in positions:
+                query = queries[position]
+                args, context = (query, threshold), (kind, threshold, query)
+                tasks.append(ShardTask(sid, op, args, context, epoch))
+                slots.append((position,))
         executor = self._executor
         with trace_span(
-            "shard.scatter", kind=kind, pool=executor.kind, **attrs
+            "shard.scatter",
+            kind=kind,
+            pool=executor.kind,
+            threshold=threshold,
+            queries=len(queries),
+            shards=len(tasks),
         ):
-            return executor.scatter(tasks, self._dispatch_task)
+            values = executor.scatter(tasks, self._dispatch_task)
+        gathered: list[list] = [[] for _ in queries]
+        with trace_span("shard.gather", kind=kind, shards=len(tasks)):
+            for positions, value in zip(slots, values):
+                chunks = value if batch_op is not None else (value,)
+                for position, chunk in zip(positions, chunks):
+                    gathered[position].append(chunk)
+        return gathered
 
-    def _task(
-        self, sid: int, op: str, args: tuple, context: tuple
-    ) -> ShardTask:
-        return ShardTask(
-            sid, op, args, context, self._shards[sid].epoch
-        )
-
-    def _epoch_key(self, kind: str, plan: ShardPlan | None) -> tuple:
-        """Shard-aware cache-key epoch component.
-
-        ``select``/``probe`` results depend only on the shards their
-        plan contacts; ``knn`` may expand into any shard, so its
-        entries key on every epoch.
-        """
-        if plan is None or kind == "knn":
-            return tuple(shard.epoch for shard in self._shards)
-        return tuple(
-            (sid, self._shards[sid].epoch) for sid in plan.contacted
-        )
-
-    def _run_probe(self, query: int, threshold: int) -> bool:
-        """Membership probe: OR over every contacted shard.
-
-        All planned shards are asked (no first-hit short-circuit) so
-        every pool backend — where the shards genuinely run
-        concurrently — performs the *same* work and reports the same
-        op counts as the serial walk.
-        """
-        plan = self._plan_locked(query, threshold)
-        self._record_plan(plan)
-        tasks = [
-            self._task(
-                sid,
-                "contains_within",
-                (query, threshold),
-                ("probe", query, threshold),
-            )
-            for sid in plan.contacted
-        ]
-        gathered = self._scatter("probe", tasks, shards=len(tasks))
-        with trace_span("shard.gather", kind="probe", shards=len(tasks)):
-            return any(gathered)
-
-    def _run_knn(self, query: int, k: int) -> tuple[tuple[int, int], ...]:
-        """Expanding-threshold kNN over the pruned scatter.
-
-        Byte-compatible with :func:`repro.core.knn.knn_select` run on a
-        monolithic index: the same threshold schedule, and since each
-        round gathers the exact union of per-shard matches, the same
-        match counts, sort and cut.  Pruning is re-planned every round
-        — as the threshold grows the Hamming ball widens and previously
-        pruned shards rejoin the scatter (per-shard top-k with global
-        threshold refinement).
-        """
-        threshold = DEFAULT_INITIAL_THRESHOLD
-        step = max(2, self._code_length // 8)
-        cap = self._knn_cap()
-        target = min(k, sum(len(s.primary) for s in self._shards))
-        while True:
-            plan = self._plan_locked(query, threshold)
-            self._record_plan(plan)
-            tasks = [
-                self._task(
-                    sid,
-                    "search_with_distances",
-                    (query, threshold),
-                    ("knn", query, threshold),
-                )
-                for sid in plan.contacted
-            ]
-            gathered = self._scatter(
-                "knn", tasks, threshold=threshold, shards=len(tasks)
-            )
-            with trace_span(
-                "shard.gather", kind="knn", threshold=threshold
-            ):
-                matches: list[tuple[int, int]] = []
-                for chunk in gathered:
-                    matches.extend(chunk)
-            if len(matches) >= target or threshold >= cap:
-                matches.sort(key=lambda pair: (pair[1], pair[0]))
-                return tuple(matches[:k])
-            threshold = min(threshold + step, cap)
-
-    # -- batch execution (worker threads) ----------------------------------
+    # -- batch execution (runs on worker threads) --------------------------
 
     def _execute_batch(self, batch: list[QueryRequest]) -> None:
         if self._trace_batches:
+            # Worker threads have no client trace; open a root here so
+            # the engines' per-level spans are captured per batch.
             with trace("service.batch", size=len(batch)):
                 self._execute_batch_inner(batch)
         else:
@@ -1376,7 +1439,11 @@ class ShardedQueryService:
             if request.deadline is not None and started > request.deadline:
                 self._accounting.record_timed_out()
                 timed_out += 1
-                request.ticket.fail(_deadline_error(request, started))
+                waited_ms = (started - request.submitted_at) * 1000.0
+                request.ticket.fail(ServiceTimeoutError(
+                    f"{request.kind} query missed its deadline after "
+                    f"waiting {waited_ms:.1f} ms in the admission queue"
+                ))
                 continue
             live.append(request)
         if REGISTRY.enabled and timed_out:
@@ -1388,39 +1455,47 @@ class ShardedQueryService:
         groups: dict[tuple[str, int, int], list[QueryRequest]] = {}
         for request in live:
             groups.setdefault(request.key, []).append(request)
-        executed = 0
-        dedup_saved = 0
         resolutions: list[tuple[QueryRequest, ServedResult]] = []
+        executed = dedup_saved = 0
         with self._lock:
             epoch = self._global_epoch
+            shards = self._shards
+            # Cache stamps by contacted shard set; ``None`` is kNN's,
+            # which may expand into any shard.
+            stamps: dict[tuple[int, ...] | None, tuple] = {}
             values: dict[tuple[str, int, int], tuple[object, bool]] = {}
-            misses: list[tuple[str, int, int]] = []
+            misses: dict[tuple[str, int], list[tuple]] = {}
             for key, requests in groups.items():
                 kind, query, param = key
-                plan = (
-                    self._plan_locked(query, param)
-                    if kind != "knn"
-                    else None
-                )
-                cache_key = key + (self._epoch_key(kind, plan),)
+                plan = None if kind == "knn" else self._plan(query, param)
+                contacted = None if plan is None else plan.contacted
+                stamp = stamps.get(contacted)
+                if stamp is None:
+                    stamp = stamps[contacted] = (
+                        tuple([shard.epoch for shard in shards])
+                        if contacted is None
+                        else tuple([(sid, shards[sid].epoch) for sid in contacted])
+                    )
+                cache_key = key + (stamp,)
                 value = self._cache.get(cache_key, weight=len(requests))
                 if value is MISS:
-                    misses.append(key)
+                    misses.setdefault((kind, param), []).append(
+                        (key, plan, cache_key)
+                    )
                 else:
                     values[key] = (value, True)
-            for key, value in self._run_misses(misses):
-                executed += 1
-                dedup_saved += len(groups[key]) - 1
-                kind, query, param = key
-                plan = (
-                    self._plan_locked(query, param)
-                    if kind != "knn"
-                    else None
+            for (kind, param), entries in misses.items():
+                answers = self._run_misses(
+                    kind,
+                    param,
+                    [key[1] for key, _, _ in entries],
+                    [plan for _, plan, _ in entries],
                 )
-                self._cache.put(
-                    key + (self._epoch_key(kind, plan),), value
-                )
-                values[key] = (value, False)
+                for (key, _, cache_key), value in zip(entries, answers):
+                    self._cache.put(cache_key, value)
+                    values[key] = (value, False)
+                    dedup_saved += len(groups[key]) - 1
+                executed += len(entries)
             for key, requests in groups.items():
                 value, cached = values[key]
                 result = ServedResult(value, epoch, cached)
@@ -1453,111 +1528,75 @@ class ShardedQueryService:
             ).inc(hits)
             REGISTRY.counter(
                 "service_traversals_total",
-                "scatter-gather executions after cache and dedup",
+                "query executions after cache and dedup",
             ).inc(executed)
+            REGISTRY.histogram(
+                "service_batch_size",
+                "live queries per micro-batch",
+                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+            ).observe(float(len(live)))
         self._queue.note_service_time((finished - started) / len(live))
 
     def _run_misses(
-        self, misses: list[tuple[str, int, int]]
-    ) -> list[tuple[tuple[str, int, int], object]]:
-        """Execute the uncached query groups of one micro-batch.
+        self,
+        kind: str,
+        param: float,
+        queries: list[int],
+        plans: list[ShardPlan | None],
+    ) -> list[object]:
+        """Answer one group of a micro-batch's uncached queries.
 
-        ``select`` misses sharing a threshold are planned together and
-        each shard receives *one* batched sweep over every query routed
-        to it — the scatter-side analogue of the single-index
-        vectorized sweep.  Probes and kNN scatter query-at-a-time.
-        Runs under the shard mutex.
+        A group shares its kind and parameter and runs as one scatter
+        over its (already made) plans: ``select`` takes one batched
+        sweep per contacted shard and merges to id-ascending tuples;
+        ``probe`` ORs the per-shard membership answers; ``knn`` runs one
+        expanding-threshold schedule (:meth:`_run_knn_batch`).  Returns the
+        answers in query order.  Runs under the mutex.
         """
-        results: list[tuple[tuple[str, int, int], object]] = []
-        by_threshold: dict[int, list[tuple[str, int, int]]] = {}
-        for key in misses:
-            kind, query, param = key
-            if kind == "select":
-                by_threshold.setdefault(param, []).append(key)
-            elif kind == "probe":
-                results.append((key, self._run_probe(query, param)))
-            else:
-                results.append((key, self._run_knn(query, param)))
-        for threshold, keys in by_threshold.items():
-            results.extend(self._run_select_batch(keys, threshold))
-        return results
-
-    def _run_select_batch(
-        self, keys: list[tuple[str, int, int]], threshold: int
-    ) -> list[tuple[tuple[str, int, int], object]]:
-        """One shared scatter for select misses at one threshold."""
-        plan_list, by_shard = self._plan_batch_locked(
-            [key[1] for key in keys], threshold
-        )
-        for plan in plan_list:
-            self._record_plan(plan)
-        gathered: list[list] = [[] for _ in keys]
-        # dha shards hand back int64 arrays so the cross-shard merge
-        # stays numpy end-to-end; other batched engines return id lists
-        # and take the same merge path via asarray.  Engines without a
-        # batched sweep get one ``search`` task per routed query.
-        if self._engine == "dha":
-            batch_op = "search_batch_arrays"
-        elif get_engine(self._engine).batched:
-            batch_op = "search_batch"
-        else:
-            batch_op = None
-        tasks = []
-        slots: list[list[int]] = []
-        for sid, positions in sorted(by_shard.items()):
-            if batch_op is None:
-                for position in positions:
-                    query = keys[position][1]
-                    tasks.append(
-                        self._task(
-                            sid,
-                            "search",
-                            (query, threshold),
-                            ("select", query, threshold),
-                        )
-                    )
-                    slots.append([position])
-                continue
-            queries = [keys[p][1] for p in positions]
-            tasks.append(
-                self._task(
-                    sid,
-                    batch_op,
-                    (queries, threshold),
-                    (
-                        "select_batch",
-                        threshold,
-                        len(queries),
-                        queries[0],
-                    ),
-                )
+        if kind == "knn":
+            return self._run_knn_batch(queries, param)
+        if kind == "select":
+            gathered = self._scatter_queries(
+                "select_batch", queries, param, plans,
+                shard_positions(plans), self._ops.select, "search",
             )
-            slots.append(positions)
-        values = self._scatter(
-            "select_batch",
-            tasks,
-            queries=len(keys),
-            shards=len(tasks),
+            return [_merge_sorted_ids(chunks) for chunks in gathered]
+        gathered = self._scatter_queries(
+            "probe", queries, param, plans, shard_positions(plans), None,
+            self._ops.probe,
         )
-        with trace_span(
-            "shard.gather", kind="select_batch", shards=len(tasks)
-        ):
-            for positions, value in zip(slots, values):
-                id_lists = value if batch_op is not None else [value]
-                for position, ids in zip(positions, id_lists):
-                    gathered[position].append(ids)
-        return [
-            (key, _merge_sorted_ids(chunks))
-            for key, chunks in zip(keys, gathered)
-        ]
+        return [any(chunks) for chunks in gathered]
+
+    def _run_knn_batch(
+        self, queries: list[int], k: int
+    ) -> list[tuple[tuple[int, int], ...]]:
+        """kNN for queries sharing ``k``: one expanding-threshold
+        schedule over the scatter.
+
+        Byte-compatible with :func:`repro.core.knn.knn_select` on a
+        monolithic index: the same threshold schedule, and since each
+        round gathers the exact union of per-shard matches, the same
+        match counts, sort and cut.
+        """
+        if self._ops.knn is None:
+            raise InvalidParameterError(
+                f"{type(self._shards[0].primary).__name__} does not "
+                "expose search_with_distances"
+            )
+        # Looked up by name on the server module, where timing
+        # harnesses wrap the kNN entry points.
+        from repro.service import server
+
+        pair_lists = server.knn_select_batch(queries, _ScatterIndex(self), k)
+        return [tuple(pairs) for pairs in pair_lists]
 
     # -- observability -----------------------------------------------------
 
     def stats(self) -> ServiceStats:
-        """A consistent :class:`ServiceStats` snapshot (global epoch).
+        """A consistent :class:`ServiceStats` snapshot (service epoch).
 
-        With durable stores attached, ``stats().store`` aggregates the
-        per-shard stores (summed counters, max generation).
+        With durable stores attached, ``stats().store`` aggregates them
+        (summed counters, max generation).
         """
         with self._lock:
             epoch = self._global_epoch
@@ -1580,24 +1619,6 @@ class ShardedQueryService:
             [store.stats() for store in self._stores]
         )
 
-    def save_snapshot(self) -> int:
-        """Rotate a new snapshot generation on every shard's store.
-
-        Folds each shard's logged mutations into a fresh snapshot so
-        the next :meth:`open` replays empty WAL tails; returns the
-        highest shard generation.  Requires stores.
-        """
-        self._check_open()
-        if self._stores is None:
-            raise StoreError(
-                "sharded service has no durable stores; construct it "
-                "with data_dir= or open() to persist snapshots"
-            )
-        with self._lock:
-            for store, shard in zip(self._stores, self._shards):
-                store.snapshot(shard.primary)
-            return max(store.generation for store in self._stores)
-
     def shard_stats(self) -> ShardStats:
         """A consistent :class:`ShardStats` snapshot."""
         with self._lock:
@@ -1607,25 +1628,66 @@ class ShardedQueryService:
         tasks, fallbacks, timeouts = executor.counters()
         busy, critical = executor.seconds()
         return self._shard_accounting.snapshot(
-            self.num_shards,
-            self._replication,
-            sizes,
-            epochs,
-            pool=(
-                executor.kind,
-                executor.workers,
-                tasks,
-                fallbacks,
-                timeouts,
-                busy,
-                critical,
-            ),
+            num_shards=len(sizes),
+            replication=self._replication,
+            shard_sizes=sizes,
+            shard_epochs=epochs,
+            pool=executor.kind,
+            pool_workers=executor.workers,
+            pool_tasks=tasks,
+            pool_fallbacks=fallbacks,
+            pool_timeouts=timeouts,
+            pool_busy_seconds=busy,
+            pool_critical_seconds=critical,
         )
 
     def publish_metrics(self) -> tuple[ServiceStats, ShardStats]:
-        """Snapshot both stat blocks and fold them into the registry."""
+        """Snapshot both stat blocks and fold them into the registry.
+
+        Respects the registry's ``enabled`` flag; returns the snapshots
+        either way so callers can render them too.
+        """
         stats = self.stats()
         stats.publish()
         shard_stats = self.shard_stats()
         shard_stats.publish()
         return stats, shard_stats
+
+
+def _init_stores(
+    data_dir: str, fsync: bool, shards: list[_Shard], topology: dict
+):
+    """Write ``topology.json`` and one fresh store per shard."""
+    import json
+    from pathlib import Path
+
+    from repro.store.format import atomic_write
+    from repro.store.store import DurableIndexStore
+
+    root = Path(data_dir)
+    manifest = root / ShardedQueryService.TOPOLOGY_FILE
+    if manifest.exists():
+        raise StoreError(
+            f"{data_dir} already holds a sharded store; use "
+            "ShardedQueryService.open(data_dir) to recover it"
+        )
+    root.mkdir(parents=True, exist_ok=True)
+    topology = {
+        "format": "repro-shard-topology",
+        "version": 1,
+        "num_shards": len(shards),
+        **topology,
+    }
+    atomic_write(
+        manifest,
+        json.dumps(topology, sort_keys=True, indent=2).encode("utf-8"),
+        fsync=fsync,
+    )
+    stores = []
+    for shard in shards:
+        store = DurableIndexStore(
+            root / f"shard-{shard.sid:04d}", fsync=fsync
+        )
+        store.initialize(shard.primary)
+        stores.append(store)
+    return stores

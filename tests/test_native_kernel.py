@@ -251,19 +251,27 @@ class TestServiceFusing:
 
         codes = _corpus(10)
         index = DynamicHAIndex.build(codes).compile_native()
-        service = HammingQueryService(index, start=False)
+        # Staged before the one worker starts, so one micro-batch holds
+        # every miss and the kNN group runs one fused schedule.
+        service = HammingQueryService(index, workers=1, start=False)
         rng = random.Random(11)
         knn_queries = [rng.getrandbits(WIDTH) for _ in range(3)]
         select_query = rng.getrandbits(WIDTH)
-        misses = [("knn", query, 5) for query in knn_queries]
-        misses.append(("select", select_query, 2))
-        results = dict(service._run_misses(index, misses))
+        tickets = {
+            ("knn", query, 5): service.submit("knn", query, 5)
+            for query in knn_queries
+        }
+        tickets[("select", select_query, 2)] = service.submit(
+            "select", select_query, 2
+        )
+        service.start()
+        results = {key: t.result().value for key, t in tickets.items()}
         for query in knn_queries:
             assert results[("knn", query, 5)] == tuple(
                 knn_select(query, index, 5)
             )
         assert results[("select", select_query, 2)] == tuple(
-            index.search(select_query, 2)
+            sorted(index.search(select_query, 2))
         )
         service.close()
 
@@ -275,24 +283,27 @@ class TestServiceFusing:
 
         codes = _corpus(12)
         index = DynamicHAIndex.build(codes)
-        service = HammingQueryService(index, cache_capacity=0, start=False)
+        service = HammingQueryService(
+            index, cache_capacity=0, workers=1, start=False
+        )
         rng = random.Random(13)
         queries = [rng.getrandbits(WIDTH) for _ in range(3)]
-        misses = [("select", query, 3) for query in queries]
-        before = dict(service._run_misses(index, misses))
-        for query in queries:
-            assert before[("select", query, 3)] == tuple(
-                index.search(query, 3)
-            )
+
+        def served() -> list[tuple]:
+            tickets = [service.submit("select", q, 3) for q in queries]
+            service.start()
+            return [ticket.result().value for ticket in tickets]
+
+        before = served()
+        for query, value in zip(queries, before):
+            assert value == tuple(sorted(index.search(query, 3)))
         # A buffered insert at distance 0 from the first query must be
         # visible to the very next batch through the same plane.
         service.insert(queries[0], 9001)
-        after = dict(service._run_misses(index, misses))
-        assert 9001 in after[("select", queries[0], 3)]
-        for query in queries:
-            assert after[("select", query, 3)] == tuple(
-                index.search(query, 3)
-            )
+        after = served()
+        assert 9001 in after[0]
+        for query, value in zip(queries, after):
+            assert value == tuple(sorted(index.search(query, 3)))
         service.delete(queries[0], 9001)
-        assert dict(service._run_misses(index, misses)) == before
+        assert served() == before
         service.close()

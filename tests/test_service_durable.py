@@ -83,7 +83,7 @@ class TestDurableQueryService:
         )
         for code, tuple_id in _mutations(10):
             durable.insert(code, tuple_id)
-        assert durable._index._buffer  # still buffered
+        assert durable._shards[0].primary._buffer  # still buffered
         # snapshot=False models a crash-ish stop: no final rotation, so
         # recovery must get the buffered inserts back from the WAL.
         durable.close(snapshot=False)

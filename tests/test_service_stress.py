@@ -21,7 +21,7 @@ from repro.core.bitvector import CodeSet
 from repro.core.dynamic_ha import DynamicHAIndex
 from repro.core.errors import ServiceOverloadError
 from repro.data.synthetic import random_codes
-from repro.service import HammingQueryService
+from repro.service import HammingQueryService, ShardedQueryService
 
 pytestmark = pytest.mark.slow
 
@@ -34,6 +34,17 @@ QUERIES_PER_READER = 60
 JOIN_TIMEOUT = 60.0
 
 
+def _one_shard(base: CodeSet, **kwargs) -> HammingQueryService:
+    index = DynamicHAIndex.build(base, rebuild_buffer=8)
+    return HammingQueryService(index, **kwargs)
+
+
+def _four_shards(base: CodeSet, **kwargs) -> ShardedQueryService:
+    return ShardedQueryService(
+        base, num_shards=4, index_params={"rebuild_buffer": 8}, **kwargs
+    )
+
+
 def _join_all(threads: list[threading.Thread]) -> None:
     for thread in threads:
         thread.join(timeout=JOIN_TIMEOUT)
@@ -42,11 +53,14 @@ def _join_all(threads: list[threading.Thread]) -> None:
 
 
 class TestReaderWriterConsistency:
-    def test_results_match_oracle_at_served_epoch(self):
+    @pytest.mark.parametrize(
+        "make_service", [_one_shard, _four_shards],
+        ids=["one-shard", "four-shards"],
+    )
+    def test_results_match_oracle_at_served_epoch(self, make_service):
         base = CodeSet(random_codes(BASE_SIZE, BITS, seed=11), BITS)
-        index = DynamicHAIndex.build(base, rebuild_buffer=8)
-        service = HammingQueryService(
-            index,
+        service = make_service(
+            base,
             workers=4,
             max_batch=16,
             queue_limit=10_000,
